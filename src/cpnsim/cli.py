@@ -173,8 +173,12 @@ def plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    plan = plan_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        plan = plan_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     result = run_experiment_detailed(plan)
 
     out: Path = args.out

@@ -1,10 +1,7 @@
 """Hot path of the engine: binding enumeration, firing, time advance.
 
-This module is deliberately self-contained and written in plain Python:
-the build compiles this exact file with Cython as
-``cpnsim.engine._kernel_c`` and the engine picks whichever is available
-(see ``core.py``).  Do not edit ``_kernel_c.py``; it is a generated
-copy.
+``cpnsim.engine`` exports ``step`` and ``run`` from here unchanged; the
+rest is wrapped by ``core.py``.
 
 Determinism contract:
 
@@ -281,7 +278,11 @@ def _enumerate_cached(net, state):
 
 
 def step(net, state):
-    """Fire one randomly chosen enabled binding, or advance model time."""
+    """Fire one enabled binding (uniform choice) or advance model time.
+
+    Returns the resulting :class:`Fired`, :class:`TimeAdvanced` or
+    :class:`DeadMarking` event.
+    """
     bindings = _enumerate_cached(net, state)
     if bindings:
         n = len(bindings)
@@ -314,8 +315,13 @@ def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):
 
     ``stop`` is consulted once before the first step with event ``None``
     (so a trivially-true predicate performs zero steps) and after every
-    step.  Hooks observe every event, including the terminal one.
+    step.  Hooks are called after every step with ``(state, event)``,
+    the terminal event included; the hooks given at the start are the
+    ones called, even if the caller's list grows during the run.
+    Raises :class:`StepLimitExceeded` after ``max_steps`` steps as a
+    guard against runaway models.
     """
+    hooks = tuple(hooks)
     if stop is not None and stop(state, None):
         return state
     iterations = 0

@@ -1,47 +1,26 @@
-"""Public engine API over the selected kernel.
+"""Public engine API over the kernel.
 
-The kernel (binding enumeration, firing, time advance) exists twice:
-``_kernel`` is the interpreted module and ``_kernel_c`` a Cython build
-of the same source.  The compiled one is preferred when importable;
-set ``CPNSIM_PURE_KERNEL=1`` to force the interpreted path (useful for
-debugging and benchmarking).
+The kernel (binding enumeration, firing, time advance) lives in
+``_kernel``.  ``cpnsim.engine`` exports its ``step`` and ``run`` as
+they are; the functions here wrap the rest of it in terms of
+:class:`Binding` and :class:`Marking`.
 """
 
 from __future__ import annotations
 
-import os
-
-from cpnsim.engine import _kernel as _pure_kernel
+from cpnsim.engine import _kernel
 from cpnsim.engine.types import (
     Binding,
-    DeadMarking,
     FiringError,
     Marking,
     Net,
     SimState,
-    StepEvent,
 )
 
 
-def _load_kernel():
-    if os.environ.get("CPNSIM_PURE_KERNEL", "0") not in ("", "0"):
-        return _pure_kernel
-    try:
-        from cpnsim.engine import _kernel_c
-    except ImportError:
-        return _pure_kernel
-    return _kernel_c
-
-
-_kernel = _load_kernel()
-
-DEFAULT_STEP_LIMIT = _pure_kernel.DEFAULT_STEP_LIMIT
-
-
 def kernel_name() -> str:
-    """'compiled' when the C extension is active, else 'pure'."""
-    fname = getattr(_kernel, "__file__", "") or ""
-    return "compiled" if fname.endswith((".so", ".pyd")) else "pure"
+    """Name of the engine kernel; always 'pure' (interpreted Python)."""
+    return "pure"
 
 
 def add_tokens(marking: Marking, place: str, tokens) -> Marking:
@@ -92,28 +71,3 @@ def advance_time(net: Net, state: SimState) -> int | None:
         raise FiringError("advance_time called while a binding is enabled")
     nxt = _kernel.next_enabled_time(net, state.store, state.counts, state.now)
     return None if nxt < 0 else nxt
-
-
-def step(net: Net, state: SimState) -> StepEvent:
-    """Fire one enabled binding (uniform choice) or advance model time.
-
-    Returns the resulting :class:`Fired`, :class:`TimeAdvanced` or
-    :class:`DeadMarking` event.
-    """
-    return _kernel.step(net, state)
-
-
-def run(
-    net: Net,
-    state: SimState,
-    stop=None,
-    hooks=(),
-    max_steps: int = DEFAULT_STEP_LIMIT,
-) -> SimState:
-    """Drive ``step`` until ``stop(state, event)`` or a dead marking.
-
-    Hooks are called after every step with ``(state, event)``.  Raises
-    :class:`StepLimitExceeded` after ``max_steps`` steps as a guard
-    against runaway models.
-    """
-    return _kernel.run(net, state, stop, tuple(hooks), max_steps)

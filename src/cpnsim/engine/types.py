@@ -8,8 +8,8 @@ guard over the bound variables, and produce tokens along output arcs
 whose expressions may draw from the run's random stream.
 
 Everything here is plain data.  The hot operations (binding
-enumeration, firing, time advancement) live in ``_kernel.py`` so they
-can be compiled; see ``core.py`` for the public functional API.
+enumeration, firing, time advancement) live in ``_kernel.py``; see
+``core.py`` for the public functional API.
 
 Internally every token is a ``(value, timestamp)`` pair; untimed places
 use timestamp 0, which is always ready.  Public accessors report

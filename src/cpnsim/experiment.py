@@ -51,6 +51,11 @@ class ExperimentPlan:
             raise ValueError("replications must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base seed must be >= 0")
+        # Fail on bad parameter overrides now, not inside the sweep.
+        for s in self.scenarios:
+            self.params_for(s, min(self.node_counts))
 
     def params_for(self, scenario: str, node_count: int) -> ScenarioParams:
         return ScenarioParams(

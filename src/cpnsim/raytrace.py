@@ -78,6 +78,25 @@ class Tile(NamedTuple):
     node_type: int
 
 
+class TileList(tuple):
+    """The work list: a tuple of tiles that computes its hash only once.
+
+    The engine hashes and compares the single ``preparedTiles`` token
+    several times per step, and a plain tuple rehashes every tile each
+    time.  Hash and equality are those of the plain tuple.
+    """
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __eq__(self, other):
+        return self is other or tuple.__eq__(self, other)
+
+
 class Node(NamedTuple):
     """A cluster node; only its type is observable."""
 
@@ -189,7 +208,7 @@ def tile_complexity(remaining_tiles: int, remaining_complexity: int,
 
 
 def make_tile_list(scene: SceneConfig, complexity: int,
-                   rng: RngStream) -> tuple[Tile, ...]:
+                   rng: RngStream) -> TileList:
     """Cut the scene into a row-major grid of unassigned tiles.
 
     Interior tiles have the configured tile dimensions; the last row
@@ -211,7 +230,7 @@ def make_tile_list(scene: SceneConfig, complexity: int,
             tiles.append(Tile(w, h, share, True, UNASSIGNED))
             budget -= share
             remaining -= 1
-    return tuple(tiles)
+    return TileList(tiles)
 
 
 def assign_tile(tile: Tile, node: Node, params: ScenarioParams,
@@ -318,7 +337,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
                 "prepTile",
                 lambda v, s: assign_tile(v["tiles"][0], v["node"], params, s.rng),
             ),
-            OutputArc("preparedTiles", lambda v, s: v["tiles"][1:]),
+            OutputArc("preparedTiles", lambda v, s: TileList(v["tiles"][1:])),
         ],
     )
 
@@ -365,7 +384,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         outputs=[
             OutputArc(
                 "preparedTiles",
-                lambda v, s: v["tiles"] + (_reset(v["tile"]),),
+                lambda v, s: TileList(v["tiles"] + (_reset(v["tile"]),)),
             ),
             OutputArc(
                 "invalidNodes",
@@ -403,7 +422,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         .add_tokens("newScene", [scene.draw_complexity(rng)])
         .add_tokens("nodesNo", [params.node_count])
         .add_tokens("freeNodes", nodes)
-        .add_tokens("preparedTiles", [((), 0)])
+        .add_tokens("preparedTiles", [(TileList(), 0)])
     )
     return net, marking
 

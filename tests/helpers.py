@@ -10,6 +10,7 @@ from cpnsim.engine import (
     OutputArc,
     Var,
 )
+from cpnsim.raytrace import TileList
 
 
 def build_guard_net():
@@ -40,8 +41,8 @@ def guard_net_marking(net, p1_tokens, p2_tokens):
     return m
 
 
-def build_delay_net(with_consumer: bool):
-    """A timed chain: tp1 -> tt1(+10ms) -> tp2, optionally -> tt2 -> tp3.
+def build_delay_net(with_consumer: bool, delay: int = 10):
+    """A timed chain: tp1 -> tt1(+delay ms) -> tp2, optionally -> tt2 -> tp3.
 
     Without the consumer the token parked in tp2 never enables anything
     and the net dies right after the single tt1 firing.
@@ -52,7 +53,7 @@ def build_delay_net(with_consumer: bool):
     b.transition(
         "tt1",
         inputs=[("tp1", Var("x"))],
-        outputs=[OutputArc("tp2", lambda v, s: v["x"], delay=10)],
+        outputs=[OutputArc("tp2", lambda v, s: v["x"], delay=delay)],
     )
     if with_consumer:
         b.place("tp3", INT_SET, timed=True)
@@ -117,6 +118,7 @@ class RaytraceInvariantHook:
         lists = state.tokens("preparedTiles")
         assert state.count("preparedTiles") == 1 and lists[0][2] == 1, (
             "preparedTiles must hold exactly one list token")
+        assert type(lists[0][0]) is TileList, "the work list lost its hash memo"
         queued = len(lists[0][0])
 
         if self.in_scene:

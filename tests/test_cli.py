@@ -68,6 +68,24 @@ class TestParsing:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("flags", [
+        "--jobs 0",
+        "--replications 0",
+        "--nodes 0",
+        "--scenes-per-run 0",
+        "--seed -1",
+        "--complexity-range 5:1",
+        "--scene 500x500",
+        "--param-master_perf 0",
+    ])
+    def test_invalid_plans_exit_with_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            main(flags.split() + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tile_flag_changes_the_grid(self):
         plan = parse_plan(["--scene", "4000x3000", "--tile", "2000x1500"])
         assert plan.scenes[0].tile_count == 4

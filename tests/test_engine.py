@@ -352,6 +352,15 @@ class TestStepAndRun:
         assert h1.events == h2.events
         assert len(h1.events) == 2  # one firing, then dead
 
+    def test_hooks_added_during_a_run_are_not_called(self, guard_net):
+        marking = guard_net_marking(guard_net, [2], [1])
+        state = state_of(guard_net, marking)
+        late = TraceHook()
+        hooks = []
+        hooks.append(lambda st, ev: hooks.append(late))
+        run(guard_net, state, hooks=hooks)
+        assert late.events == []
+
     def test_time_is_monotone_over_run(self):
         net, marking = build_delay_net(with_consumer=True)
         state = state_of(net, marking)

@@ -69,6 +69,10 @@ class TestPlan:
             tiny_plan(replications=0)
         with pytest.raises(ValueError):
             tiny_plan(jobs=0)
+        with pytest.raises(ValueError):
+            tiny_plan(base_seed=-1)
+        with pytest.raises(ValueError):
+            tiny_plan(param_overrides=(("master_perf", 0.0),))
 
 
 class TestAggregation:
