@@ -3,7 +3,8 @@
 Runs the configured sweep and writes, under --out: summary.csv with one
 aggregated row per sweep point, one <scene>_<scenario>.dat plot series
 per curve, and one records_<scene>_<scenario>.tsv with the raw
-per-scene monitor records.
+per-scene monitor records.  Aborted and failed replications are named
+on stderr; the exit status is 1 if any replication failed.
 """
 
 from __future__ import annotations
@@ -189,11 +190,15 @@ def main(argv=None) -> int:
         write_records(records, out / f"records_{scene}_{scenario}.tsv")
 
     print(f"wrote {out / 'summary.csv'}: {len(result.points)} sweep points, "
-          f"{len(result.aborted)} aborted replications")
+          f"{len(result.aborted)} aborted replications, "
+          f"{len(result.failed)} failed replications")
     for scene, scenario, nodes, rep in result.aborted:
         print(f"  aborted: scene={scene} scenario={scenario} "
               f"nodes={nodes} rep={rep}", file=sys.stderr)
-    return 0
+    for f in result.failed:
+        print(f"  failed: scene={f.scene} scenario={f.scenario} nodes={f.nodes} "
+              f"seed={f.seed}: {f.error}", file=sys.stderr)
+    return 1 if result.failed else 0
 
 
 if __name__ == "__main__":

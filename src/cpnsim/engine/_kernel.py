@@ -13,7 +13,29 @@ Determinism contract:
   smallest timestamps;
 * ``step`` draws one choice index from the state RNG only when two or
   more bindings are enabled.
+
+Enumeration is memoised per transition in ``state.cache``.  A memo
+holds the transition's enabled bindings at ``state.now`` and stays
+valid until the ready tokens of one of its input places change: a
+firing clears the memos of the watchers of every place it took from or
+gave a ready token to.
+
+Time advance runs off the event calendar ``state.calendar``, a min-heap
+of ``(timestamp, place index)`` entries for the tokens stamped later
+than ``now`` (its invariant is stated on :class:`SimState`).  When
+nothing is enabled, ``step`` pops every entry at the earliest
+timestamp, clears the memos of those places' watchers, moves the clock
+there and rebuilds the cleared memos, repeating until a binding is
+enabled.  Memos it did not clear stay valid at the new time, because
+none of their input places gained a ready token.  The memos built at
+the new time are the ones the next firing uses, so an advance
+enumerates each transition at most once per candidate time and scans
+no token.  With the calendar empty the marking is dead: the clock and
+the calendar are put back, and the memos, all empty, are what
+enumeration at the old time gives too.
 """
+
+from heapq import heappop, heappush
 
 from cpnsim.engine.types import (
     ARC_ALL,
@@ -33,16 +55,22 @@ _MISSING = object()
 
 
 def _ready_candidates(ms, now):
-    """Distinct ready values in ``ms`` with their total ready counts."""
-    ready = {}
-    for tok, cnt in ms.items():
-        if tok[1] <= now:
-            v = tok[0]
-            if v in ready:
-                ready[v] += cnt
-            else:
-                ready[v] = cnt
-    return ready
+    """Sorted (value, ready count) pairs, one per distinct ready value.
+
+    Equal values (one value at several timestamps) are merged after the
+    sort, so no token value is hashed.
+    """
+    ready = [(tok[0], cnt) for tok, cnt in ms.items() if tok[1] <= now]
+    if len(ready) < 2:
+        return ready
+    ready.sort()
+    merged = [ready[0]]
+    for value, cnt in ready[1:]:
+        if value == merged[-1][0]:
+            merged[-1] = (value, merged[-1][1] + cnt)
+        else:
+            merged.append((value, cnt))
+    return merged
 
 
 def _gather_all(ms, now):
@@ -62,39 +90,38 @@ def _gather_all(ms, now):
 def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out, find_any):
     """Depth-first product over Var arcs with availability bookkeeping.
 
-    Returns True as soon as one binding is recorded when ``find_any``.
+    Arcs on one place share its sorted candidate list, so ``used`` and
+    the merged requirements key a token by (place, position in that
+    list) and never hash a token value.  Returns True as soon as one
+    binding is recorded when ``find_any``.
     """
     if i == len(arcs):
         if guard is not None and not guard(assign):
             return False
         merged = {}
-        order = []
-        for key in reqs:
+        for key, value in reqs:
             if key in merged:
-                merged[key] += 1
+                merged[key][3] += 1
             else:
-                merged[key] = 1
-                order.append(key)
-        requirements = tuple(
-            (pidx, ARC_VAR, value, merged[(pidx, value)]) for pidx, value in order
-        ) + all_reqs
+                merged[key] = [key[0], ARC_VAR, value, 1]
+        requirements = tuple(map(tuple, merged.values())) + all_reqs
         out.append((t_idx, dict(assign), requirements))
         return find_any
 
     pidx, name, candidates = arcs[i]
     bound = assign.get(name, _MISSING)
-    for value, avail in candidates:
-        if bound is not _MISSING and value != bound:
+    fresh = bound is _MISSING
+    for j, (value, avail) in enumerate(candidates):
+        if not fresh and value != bound:
             continue
-        key = (pidx, value)
+        key = (pidx, j)
         taken = used.get(key, 0)
         if taken >= avail:
             continue
         used[key] = taken + 1
-        fresh = bound is _MISSING
         if fresh:
             assign[name] = value
-        reqs.append(key)
+        reqs.append((key, value))
         hit = _expand(
             arcs, i + 1, assign, used, reqs, guard, t_idx, all_reqs, out, find_any
         )
@@ -111,6 +138,20 @@ def _transition_bindings(net, store, counts, now, t_idx, out, find_any):
     """Append enabled bindings of one transition to ``out``."""
     t = net.transitions[t_idx]
     in_arcs = t.in_arcs
+
+    if len(in_arcs) == 1 and in_arcs[0][1] == ARC_VAR:
+        # One Var arc: each ready value is one binding, no product.
+        pidx, _kind, name, _require = in_arcs[0]
+        if counts[pidx] == 0:
+            return
+        guard = t.guard
+        for value, _avail in _ready_candidates(store[pidx], now):
+            assign = {name: value}
+            if guard is None or guard(assign):
+                out.append((t_idx, assign, ((pidx, ARC_VAR, value, 1),)))
+                if find_any:
+                    return
+        return
 
     for arc in in_arcs:
         pidx = arc[0]
@@ -134,7 +175,7 @@ def _transition_bindings(net, store, counts, now, t_idx, out, find_any):
             candidates = _ready_candidates(store[pidx], now)
             if not candidates:
                 return
-            var_arcs.append((pidx, name, sorted(candidates.items())))
+            var_arcs.append((pidx, name, candidates))
 
     _expand(
         var_arcs, 0, assign, {}, [], t.guard, t_idx, tuple(all_reqs), out, find_any
@@ -221,6 +262,8 @@ def apply_binding(net, state, t_idx, assign, requirements):
             tok = (value, now + d)
             if d == 0:
                 dirty.add(pidx)
+            else:
+                heappush(state.calendar, (now + d, pidx))
         else:
             tok = (value, 0)
             dirty.add(pidx)
@@ -239,20 +282,6 @@ def apply_binding(net, state, t_idx, assign, requirements):
     for pidx in dirty:
         for w in watchers[pidx]:
             cache[w] = None
-
-
-def next_enabled_time(net, store, counts, now):
-    """Earliest t > now at which a binding is enabled, or -1 if none."""
-    pending = set()
-    for pidx in net.timed_places:
-        for tok in store[pidx]:
-            ts = tok[1]
-            if ts > now:
-                pending.add(ts)
-    for t in sorted(pending):
-        if any_enabled(net, store, counts, t):
-            return t
-    return -1
 
 
 def _enumerate_cached(net, state):
@@ -292,22 +321,26 @@ def step(net, state):
         return Fired(
             net.transitions[t_idx].name, Binding(assign, requirements), state.now
         )
-    nxt = next_enabled_time(net, state.store, state.counts, state.now)
-    if nxt < 0:
-        return DeadMarking(state.now)
     previous = state.now
-    state.now = nxt
-    # Invalidate watchers of every place with tokens that just matured.
+    calendar = state.calendar
     cache = state.cache
     watchers = net.place_watchers
-    store = state.store
-    for pidx in net.timed_places:
-        for _v, ts in store[pidx]:
-            if previous < ts <= nxt:
-                for w in watchers[pidx]:
-                    cache[w] = None
-                break
-    return TimeAdvanced(previous, nxt)
+    popped = []
+    while calendar:
+        t = calendar[0][0]
+        while calendar and calendar[0][0] == t:
+            entry = heappop(calendar)
+            popped.append(entry)
+            for w in watchers[entry[1]]:
+                cache[w] = None
+        state.now = t
+        if _enumerate_cached(net, state):
+            return TimeAdvanced(previous, t)
+    # Dead: put the clock and the calendar back; entries popped in order
+    # already form a heap.  Every memo is empty, as at ``previous``.
+    state.now = previous
+    calendar.extend(popped)
+    return DeadMarking(previous)
 
 
 def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):

@@ -67,7 +67,10 @@ def advance_time(net: Net, state: SimState) -> int | None:
     while a binding is enabled raises :class:`FiringError`.  The state's
     clock is not modified; use :func:`step` to actually advance.
     """
-    if _kernel.any_enabled(net, state.store, state.counts, state.now):
+    store, counts = state.store, state.counts
+    if _kernel.any_enabled(net, store, counts, state.now):
         raise FiringError("advance_time called while a binding is enabled")
-    nxt = _kernel.next_enabled_time(net, state.store, state.counts, state.now)
-    return None if nxt < 0 else nxt
+    for t in sorted({ts for ts, _pidx in state.calendar}):
+        if _kernel.any_enabled(net, store, counts, t):
+            return t
+    return None

@@ -18,6 +18,7 @@ use timestamp 0, which is always ready.  Public accessors report
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -512,9 +513,16 @@ class SimState:
     A state is owned by exactly one run; the engine mutates it in place.
     Arc expressions receive the state and may read ``now`` and draw from
     ``rng``.
+
+    ``calendar`` is the event calendar that drives time advance.  Its
+    invariant: the set of its entries equals the set of
+    ``(timestamp, place index)`` pairs of tokens stamped later than
+    ``now`` (an entry may repeat, one per token produced).
     """
 
-    __slots__ = ("net", "store", "counts", "now", "rng", "step_count", "cache")
+    __slots__ = (
+        "net", "store", "counts", "now", "rng", "step_count", "cache", "calendar"
+    )
 
     def __init__(self, net: Net, marking: Marking, rng, now: int = 0):
         if marking.net is not net:
@@ -531,6 +539,17 @@ class SimState:
         # Maintained by the kernel, keyed to (store, now) mutations, so
         # states must only be mutated through the engine API.
         self.cache: list = [None] * len(net.transitions)
+        # Event calendar: a min-heap of (timestamp, place index) whose
+        # entry set is that of the tokens stamped later than ``now``.
+        # Firings push one entry per token they stamp in the future;
+        # only ready tokens are consumed, so no entry outlives its token.
+        self.calendar: list[tuple[int, int]] = [
+            (ts, pidx)
+            for pidx in net.timed_places
+            for _value, ts in self.store[pidx]
+            if ts > now
+        ]
+        heapq.heapify(self.calendar)
 
     def marking(self) -> Marking:
         """Snapshot of the current marking (copies token stores)."""

@@ -5,6 +5,10 @@ order; every replication of a point gets its own random stream derived
 from ``(base_seed, point_index, replication)``, so any subset of the
 sweep can be reproduced, and results do not depend on execution order
 even when replications run in parallel worker processes.
+
+A replication that hits the step limit is *aborted*; one that raises
+is *failed* and named by its seed path.  Neither stops the sweep, and
+neither counts towards its point's aggregates.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from cpnsim.engine import DEFAULT_STEP_LIMIT, SimState, StepLimitExceeded, run
 from cpnsim.monitors import SceneRecord, attach_scene_monitor
@@ -53,6 +58,8 @@ class ExperimentPlan:
             raise ValueError("jobs must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base seed must be >= 0")
+        if self.step_limit < 1:
+            raise ValueError("step limit must be >= 1")
         # Fail on bad parameter overrides now, not inside the sweep.
         for s in self.scenarios:
             self.params_for(s, min(self.node_counts))
@@ -77,7 +84,11 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated durations of one (scene, scenario, node count) point."""
+    """Aggregated durations of one (scene, scenario, node count) point.
+
+    A point without completed replications holds zeros; the output
+    files write its aggregates as ``nan`` or leave it out.
+    """
 
     scene: str
     scenario: str
@@ -88,13 +99,24 @@ class SweepPoint:
     mean_failures: float
 
 
+class FailedReplication(NamedTuple):
+    """A replication that raised, with the seed path that reproduces it."""
+
+    scene: str
+    scenario: str
+    nodes: int
+    seed: str  # "base_seed:point_index:replication", as in the records
+    error: str
+
+
 @dataclass
 class ExperimentResult:
-    """Sweep points plus the raw records and any aborted replications."""
+    """Sweep points plus the raw records, aborted and failed replications."""
 
     points: list[SweepPoint]
     records: dict[tuple[str, str], list[SceneRecord]] = field(default_factory=dict)
     aborted: list[tuple[str, str, int, int]] = field(default_factory=list)
+    failed: list[FailedReplication] = field(default_factory=list)
 
 
 def _run_replication(scene: SceneConfig, params: ScenarioParams,
@@ -120,8 +142,19 @@ def _run_replication(scene: SceneConfig, params: ScenarioParams,
 
 
 def _replication_task(args):
+    """Records of one replication, None if aborted, or its failure.
+
+    Catches every error, logging its traceback, so that one failing
+    replication ends neither the sweep nor, with ``--jobs``, the pool.
+    """
     scene, params, seed_path, step_limit = args
-    return _run_replication(scene, params, seed_path, step_limit)
+    try:
+        return _run_replication(scene, params, seed_path, step_limit)
+    except Exception as exc:
+        seed = ":".join(map(str, seed_path))
+        logger.exception("replication failed: seed=%s", seed)
+        return FailedReplication(scene.label, params.scenario, params.node_count,
+                                 seed, f"{type(exc).__name__}: {exc}")
 
 
 def _replication_args(plan: ExperimentPlan):
@@ -148,6 +181,9 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
         completed = 0
         for rep in range(reps):
             outcome = outcomes[i * reps + rep]
+            if type(outcome) is FailedReplication:
+                result.failed.append(outcome)
+                continue
             if outcome is None:
                 result.aborted.append((scene.label, scenario, node_count, rep))
                 logger.warning(
@@ -182,14 +218,18 @@ CSV_HEADER = "scene,scenario,nodes,mean_ms,std_ms,replications,mean_failures"
 
 
 def emit_csv(points, path) -> None:
-    """Write sweep points as CSV, sorted by (scene, scenario, nodes)."""
+    """Write sweep points as CSV, sorted by (scene, scenario, nodes).
+
+    A point without completed replications has ``nan`` aggregates.
+    """
     rows = sorted(points, key=lambda p: (p.scene, p.scenario, p.nodes))
     lines = [CSV_HEADER]
     for p in rows:
-        lines.append(
-            f"{p.scene},{p.scenario},{p.nodes},{p.mean_ms},{p.std_ms},"
-            f"{p.replications},{p.mean_failures}"
-        )
+        if p.replications:
+            aggregates = f"{p.mean_ms},{p.std_ms},{p.replications},{p.mean_failures}"
+        else:
+            aggregates = "nan,nan,0,nan"
+        lines.append(f"{p.scene},{p.scenario},{p.nodes},{aggregates}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -216,7 +256,8 @@ def emit_plotdata(points, out_dir) -> list[Path]:
     """One <scene>_<scenario>.dat series per (scene, scenario).
 
     Each file holds "nodes seconds" columns sorted by node count, ready
-    for gnuplot or similar.
+    for gnuplot or similar.  Points without completed replications are
+    left out.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +269,8 @@ def emit_plotdata(points, out_dir) -> list[Path]:
         path = out / f"{scene}_{scenario}.dat"
         lines = ["# nodes seconds"]
         for p in sorted(series[(scene, scenario)], key=lambda p: p.nodes):
-            lines.append(f"{p.nodes} {p.mean_ms / 1000}")
+            if p.replications:
+                lines.append(f"{p.nodes} {p.mean_ms / 1000}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from cpnsim.cli import build_parser, main, plan_from_args
@@ -77,6 +79,8 @@ class TestParsing:
         "--complexity-range 5:1",
         "--scene 500x500",
         "--param-master_perf 0",
+        "--step-limit 0",
+        "--step-limit -5",
     ])
     def test_invalid_plans_exit_with_usage_error(self, flags, tmp_path, capsys):
         out = tmp_path / "results"
@@ -129,3 +133,32 @@ class TestEndToEnd:
         assert code == 0
         err = capsys.readouterr().err
         assert err.count("aborted:") == 4  # 2 points x 2 replications
+
+    def test_points_without_completed_replications_are_not_zero(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(self.ARGS + ["--out", str(out), "--step-limit", "10"]) == 0
+        points = read_csv(out / "summary.csv")
+        assert [p.replications for p in points] == [0, 0]
+        assert all(math.isnan(v) for p in points
+                   for v in (p.mean_ms, p.std_ms, p.mean_failures))
+        dat = (out / "4000x3000_ideal.dat").read_text(encoding="utf-8")
+        assert dat == "# nodes seconds\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_replications_are_named_and_exit_1(self, jobs, tmp_path,
+                                                       capsys):
+        # The plan is valid, but the master's tile time overflows to
+        # infinity in the real scenario only.
+        out = tmp_path / "r"
+        code = main(["--scene", "4000x3000", "--complexity", "1000",
+                     "--nodes", "2", "--scenario", "both",
+                     "--replications", "2", "--seed", "5", "--jobs", jobs,
+                     "--param-master_perf", "1e-320", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        for seed in ("5:1:0", "5:1:1"):
+            assert f"scenario=real nodes=2 seed={seed}: OverflowError" in err
+        ideal, real = read_csv(out / "summary.csv")
+        assert (ideal.scenario, ideal.replications) == ("ideal", 2)
+        assert (real.scenario, real.replications) == ("real", 0)
+        assert len(read_records(out / "records_4000x3000_ideal.tsv")) == 2

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import logging
+import math
 import statistics
 
 import pytest
 
+from cpnsim import experiment
 from cpnsim.experiment import (
     CSV_HEADER,
     DEFAULT_NODE_COUNTS,
     ExperimentPlan,
+    FailedReplication,
     SweepPoint,
     _run_replication,
     emit_csv,
@@ -73,6 +76,8 @@ class TestPlan:
             tiny_plan(base_seed=-1)
         with pytest.raises(ValueError):
             tiny_plan(param_overrides=(("master_perf", 0.0),))
+        with pytest.raises(ValueError):
+            tiny_plan(step_limit=0)
 
 
 class TestAggregation:
@@ -148,6 +153,29 @@ class TestAborts:
         assert point.mean_ms == 0.0
         assert sum("aborted" in r.message for r in caplog.records) == 2
 
+    def test_a_failing_replication_is_reported_and_skipped(self, monkeypatch,
+                                                           caplog):
+        real_run = experiment._run_replication
+
+        def run_or_fail(scene, params, seed_path, step_limit):
+            if seed_path == (1, 0, 1):
+                raise RuntimeError("model bug")
+            return real_run(scene, params, seed_path, step_limit)
+
+        monkeypatch.setattr(experiment, "_run_replication", run_or_fail)
+        with caplog.at_level(logging.ERROR, logger="cpnsim.experiment"):
+            result = run_experiment_detailed(tiny_plan(replications=3))
+        assert result.failed == [FailedReplication(
+            "4000x3000", "ideal", 2, "1:0:1", "RuntimeError: model bug")]
+        assert result.aborted == []
+        [point] = result.points
+        assert point.replications == 2
+        records = result.records[("4000x3000", "ideal")]
+        assert [r.seed for r in records] == ["1:0:0", "1:0:2"]
+        assert point.mean_ms == statistics.fmean(r.duration_ms for r in records)
+        [logged] = caplog.records
+        assert "seed=1:0:1" in logged.message and logged.exc_info
+
     def test_replication_helper_reports_incompletion_as_none(self):
         params = tiny_plan().params_for(IDEAL, 2)
         assert _run_replication(TINY, params, (1, 0, 0), 10) is None
@@ -198,6 +226,22 @@ class TestPersistence:
         text = (tmp_path / "plots" / "10000x7500_real.dat").read_text(
             encoding="utf-8")
         assert text == "# nodes seconds\n2 1.2345\n"
+
+    def test_point_without_replications_is_nan_and_left_out_of_plots(
+            self, tmp_path):
+        points = [SweepPoint("s", "real", 1, 0.0, 0.0, 0, 0.0),
+                  SweepPoint("s", "real", 2, 500.0, 0.0, 1, 2.0)]
+        path = tmp_path / "summary.csv"
+        emit_csv(points, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == ["s,real,1,nan,nan,0,nan", "s,real,2,500.0,0.0,1,2.0"]
+        empty, full = read_csv(path)
+        assert (empty.nodes, empty.replications) == (1, 0)
+        assert all(map(math.isnan, (empty.mean_ms, empty.std_ms,
+                                    empty.mean_failures)))
+        assert full == points[1]
+        [dat] = emit_plotdata(points, tmp_path)
+        assert dat.read_text(encoding="utf-8") == "# nodes seconds\n2 0.5\n"
 
     def test_plotdata_sorts_by_node_count(self, tmp_path):
         points = [

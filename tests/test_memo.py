@@ -1,26 +1,57 @@
 """Differential check: memoised enumeration equals stateless enumeration.
 
 ``step`` enumerates through per-transition memos that firings and time
-advances invalidate.  After every step of a run, the memoised result
-must equal a fresh stateless enumeration of the same marking, and each
-place's token count must equal its multiset total.
+advances invalidate, and advances time off an event calendar.  After
+every step of a run, the memoised result must equal a fresh stateless
+enumeration of the same marking, each place's token count must equal
+its multiset total, and the calendar must hold exactly the pending
+tokens' (timestamp, place) pairs.  On generated nets, every time
+advance must also land where a rescan of the pending tokens says.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cpnsim.engine import Fired, SimState, TimeAdvanced, _kernel, run
+from hypothesis import given, settings, strategies as st
+
+from cpnsim.engine import (
+    INT_SET,
+    All,
+    DeadMarking,
+    Fired,
+    Marking,
+    NetBuilder,
+    OutputArc,
+    SimState,
+    TimeAdvanced,
+    Var,
+    _kernel,
+    advance_time,
+    run,
+    step,
+)
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
-from cpnsim.stochastic import RngStream
+from cpnsim.stochastic import RngStream, uniform_int
 
 from helpers import TraceHook, build_delay_net, build_guard_net, guard_net_marking
 
 TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
 
+def check_state(net, state):
+    """The memos, the counts and the calendar agree with the marking."""
+    assert _kernel._enumerate_cached(net, state) == _kernel.enumerate_bindings(
+        net, state.store, state.counts, state.now)
+    for pidx, ms in enumerate(state.store):
+        assert state.counts[pidx] == sum(ms.values())
+    assert set(state.calendar) == {
+        (ts, pidx) for pidx, ms in enumerate(state.store)
+        for _value, ts in ms if ts > state.now}
+
+
 class MemoCheckHook:
-    """Compares the memo with stateless enumeration after every step.
+    """Runs :func:`check_state` after every step.
 
     Draws nothing from the run's random stream.  Filling the memos here
     changes nothing either: the next step enumerates the same marking.
@@ -32,11 +63,7 @@ class MemoCheckHook:
         self.advances = 0
 
     def __call__(self, state, event):
-        net = self.net
-        assert _kernel._enumerate_cached(net, state) == _kernel.enumerate_bindings(
-            net, state.store, state.counts, state.now)
-        for pidx, ms in enumerate(state.store):
-            assert state.counts[pidx] == sum(ms.values())
+        check_state(self.net, state)
         if type(event) is Fired:
             self.fired.add(event.transition)
         elif type(event) is TimeAdvanced:
@@ -102,3 +129,130 @@ class TestEnumerationMemo:
             advances += hook.advances
         assert {"unsucRtrStart", "returnTile", "recoverNode"} <= fired
         assert advances > 0
+
+
+# ---------------------------------------------------------------------------
+# Generated nets, stepped by hand
+# ---------------------------------------------------------------------------
+
+def _number(v):
+    """An int bound by a Var arc, or the length of an All arc's tuple."""
+    return v if type(v) is int else len(v)
+
+
+def _even_sum(a):
+    return sum(map(_number, a.values())) % 2 == 0
+
+
+def _distinct(a):
+    ints = [v for v in a.values() if type(v) is int]
+    return len(set(ints)) == len(ints)
+
+
+def _small(a):
+    return all(v < 2 for v in a.values() if type(v) is int)
+
+
+GUARDS = (None, _even_sum, _distinct, _small)
+
+
+def _const(c):
+    return lambda a, s: c
+
+
+def _var_value(name):
+    return lambda a, s: _number(a[name]) % 4
+
+
+def _random_delay(a, s):
+    return uniform_int(s.rng, 0, 3)
+
+
+@st.composite
+def small_timed_nets(draw):
+    """(net, marking, now): 1-3 places, 1-3 transitions, Var and All arcs.
+
+    Arcs draw variables from a pool of three names, so one place can
+    carry two Var arcs and a variable can be shared across arcs.  An
+    All arc gets its own variable, and a count requirement only on an
+    untimed place.  Timed outputs have delay 0, a constant or a draw
+    from the run's stream; initial tokens may be stamped in the future.
+    """
+    n_places = draw(st.integers(1, 3))
+    timed = [draw(st.booleans()) for _ in range(n_places)]
+    b = NetBuilder()
+    for p, is_timed in enumerate(timed):
+        b.place(f"p{p}", INT_SET, timed=is_timed)
+    for t in range(draw(st.integers(1, 3))):
+        inputs, var_places, all_places = [], set(), set()
+        for k in range(draw(st.integers(1, 3))):
+            p = draw(st.integers(0, n_places - 1))
+            if p in all_places:
+                continue
+            if draw(st.integers(0, 3)) == 0 and p not in var_places:
+                require = -1 if timed[p] else draw(st.integers(-1, 2))
+                inputs.append((f"p{p}", All(f"all{k}", require)))
+                all_places.add(p)
+            else:
+                inputs.append((f"p{p}", Var(draw(st.sampled_from("xyz")))))
+                var_places.add(p)
+        if not inputs:
+            inputs.append(("p0", Var("x")))
+        names = [pattern.name for _place, pattern in inputs]
+        outputs = []
+        for _ in range(draw(st.integers(0, 2))):
+            q = draw(st.integers(0, n_places - 1))
+            if draw(st.booleans()):
+                expr = _const(draw(st.integers(0, 3)))
+            else:
+                expr = _var_value(draw(st.sampled_from(names)))
+            delay = 0
+            if timed[q]:
+                delay = draw(st.one_of(
+                    st.just(0), st.integers(1, 4), st.just(_random_delay)))
+            outputs.append(OutputArc(f"p{q}", expr, delay))
+        b.transition(f"t{t}", inputs, outputs, guard=draw(st.sampled_from(GUARDS)))
+    net = b.build()
+    marking = Marking.empty(net)
+    for p, is_timed in enumerate(timed):
+        value = st.integers(0, 3)
+        token = st.tuples(value, st.integers(0, 6)) if is_timed else value
+        tokens = draw(st.lists(token, max_size=4))
+        if tokens:
+            marking = marking.add_tokens(f"p{p}", tokens)
+    return net, marking, draw(st.sampled_from([0, 2]))
+
+
+def rescan_advance(net, state):
+    """The time ``step`` must advance to: a rescan of every pending token."""
+    pending = sorted({ts for pidx in net.timed_places
+                      for _value, ts in state.store[pidx] if ts > state.now})
+    for t in pending:
+        if _kernel.any_enabled(net, state.store, state.counts, t):
+            return t
+    return None
+
+
+@given(case=small_timed_nets(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_generated_nets_step_like_the_stateless_reference(case, seed):
+    net, marking, now = case
+    state = SimState(net, marking, RngStream(seed), now=now)
+    check_state(net, state)
+    for _ in range(30):
+        enabled = _kernel.enumerate_bindings(
+            net, state.store, state.counts, state.now)
+        expected = None
+        if not enabled:
+            expected = rescan_advance(net, state)
+            assert advance_time(net, state) == expected
+        before = state.now
+        event = step(net, state)
+        check_state(net, state)
+        if enabled:
+            assert type(event) is Fired
+        elif expected is None:
+            assert event == DeadMarking(before) and state.now == before
+            return
+        else:
+            assert event == TimeAdvanced(before, expected)
