@@ -23,7 +23,6 @@ from cpnsim.engine import (
     SimState,
     StepEvent,
     TimeAdvanced,
-    add_tokens,
     advance_time,
     enabled_bindings,
     fire,
@@ -46,7 +45,6 @@ __all__ = [
     "SimState",
     "StepEvent",
     "TimeAdvanced",
-    "add_tokens",
     "advance_time",
     "enabled_bindings",
     "fire",

@@ -28,8 +28,8 @@ DEFAULT_SCENES = ("10000x7500", "30000x22500")
 DEFAULT_TILE = "1000x750"
 DEFAULT_COMPLEXITY = 36500
 
-# ScenarioParams fields tunable via --param-<name>; node_count, scenario
-# and scenes_per_run are controlled by their own sweep flags.
+# ScenarioParams fields tunable via --param-<name>; node_count and
+# scenario are controlled by their own sweep flags.
 PARAM_FLAGS = (
     ("master_perf", float),
     ("client_success_p", float),

@@ -1,7 +1,10 @@
-"""Hot path of the engine: binding enumeration, firing, time advance.
+"""The engine: binding enumeration, firing, time advance.
 
-``cpnsim.engine`` exports ``step`` and ``run`` from here unchanged; the
-rest is wrapped by ``core.py``.
+``cpnsim.engine`` re-exports the public functions of this module:
+``step`` and ``run`` drive a simulation, ``enabled_bindings``, ``fire``
+and ``advance_time`` expose single moves of it.  A binding is enabled
+exactly when the enumeration lists it; ``fire`` checks a caller's
+binding against that list, so the firing rule is stated once.
 
 Determinism contract:
 
@@ -74,30 +77,27 @@ def _ready_candidates(ms, now):
 
 
 def _gather_all(ms, now):
-    """All ready values (with multiplicity), sorted, plus their count."""
+    """All ready values (with multiplicity), sorted."""
     vals = []
-    total = 0
     for tok, cnt in ms.items():
         if tok[1] <= now:
-            total += cnt
             v = tok[0]
             for _ in range(cnt):
                 vals.append(v)
     vals.sort()
-    return tuple(vals), total
+    return tuple(vals)
 
 
-def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out, find_any):
+def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out):
     """Depth-first product over Var arcs with availability bookkeeping.
 
     Arcs on one place share its sorted candidate list, so ``used`` and
     the merged requirements key a token by (place, position in that
-    list) and never hash a token value.  Returns True as soon as one
-    binding is recorded when ``find_any``.
+    list) and never hash a token value.
     """
     if i == len(arcs):
         if guard is not None and not guard(assign):
-            return False
+            return
         merged = {}
         for key, value in reqs:
             if key in merged:
@@ -106,7 +106,7 @@ def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out, find_any):
                 merged[key] = [key[0], ARC_VAR, value, 1]
         requirements = tuple(map(tuple, merged.values())) + all_reqs
         out.append((t_idx, dict(assign), requirements))
-        return find_any
+        return
 
     pidx, name, candidates = arcs[i]
     bound = assign.get(name, _MISSING)
@@ -122,19 +122,14 @@ def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out, find_any):
         if fresh:
             assign[name] = value
         reqs.append((key, value))
-        hit = _expand(
-            arcs, i + 1, assign, used, reqs, guard, t_idx, all_reqs, out, find_any
-        )
+        _expand(arcs, i + 1, assign, used, reqs, guard, t_idx, all_reqs, out)
         reqs.pop()
         if fresh:
             del assign[name]
         used[key] = taken
-        if hit:
-            return True
-    return False
 
 
-def _transition_bindings(net, store, counts, now, t_idx, out, find_any):
+def _transition_bindings(net, store, counts, now, t_idx, out):
     """Append enabled bindings of one transition to ``out``."""
     t = net.transitions[t_idx]
     in_arcs = t.in_arcs
@@ -149,8 +144,6 @@ def _transition_bindings(net, store, counts, now, t_idx, out, find_any):
             assign = {name: value}
             if guard is None or guard(assign):
                 out.append((t_idx, assign, ((pidx, ARC_VAR, value, 1),)))
-                if find_any:
-                    return
         return
 
     for arc in in_arcs:
@@ -166,39 +159,26 @@ def _transition_bindings(net, store, counts, now, t_idx, out, find_any):
     assign = {}
     for pidx, kind, name, require in in_arcs:
         if kind == ARC_ALL:
-            values, total = _gather_all(store[pidx], now)
-            if require >= 0 and total != require:
+            values = _gather_all(store[pidx], now)
+            if require >= 0 and len(values) != require:
                 return
             assign[name] = values
-            all_reqs.append((pidx, ARC_ALL, values, total))
+            all_reqs.append((pidx, ARC_ALL, values, len(values)))
         else:
             candidates = _ready_candidates(store[pidx], now)
             if not candidates:
                 return
             var_arcs.append((pidx, name, candidates))
 
-    _expand(
-        var_arcs, 0, assign, {}, [], t.guard, t_idx, tuple(all_reqs), out, find_any
-    )
+    _expand(var_arcs, 0, assign, {}, [], t.guard, t_idx, tuple(all_reqs), out)
 
 
 def enumerate_bindings(net, store, counts, now):
     """Every enabled (transition index, assignment, requirements) triple."""
     out = []
-    n = len(net.transitions)
-    for t_idx in range(n):
-        _transition_bindings(net, store, counts, now, t_idx, out, False)
+    for t_idx in range(len(net.transitions)):
+        _transition_bindings(net, store, counts, now, t_idx, out)
     return out
-
-
-def any_enabled(net, store, counts, now):
-    out = []
-    n = len(net.transitions)
-    for t_idx in range(n):
-        _transition_bindings(net, store, counts, now, t_idx, out, True)
-        if out:
-            return True
-    return False
 
 
 def _remove_value(ms, pidx, value, count, now, counts):
@@ -300,7 +280,7 @@ def _enumerate_cached(net, state):
         memo = cache[t_idx]
         if memo is None:
             memo = []
-            _transition_bindings(net, store, counts, now, t_idx, memo, False)
+            _transition_bindings(net, store, counts, now, t_idx, memo)
             cache[t_idx] = memo
         out.extend(memo)
     return out
@@ -371,29 +351,53 @@ def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):
             return state
 
 
-def validate_binding(net, state, t_idx, assign, requirements):
-    """Raise FiringError unless the binding is enabled right now."""
-    t = net.transitions[t_idx]
-    if t.guard is not None and not t.guard(assign):
-        raise FiringError(f"guard of {t.name} rejects the binding {assign!r}")
-    store = state.store
-    now = state.now
-    for pidx, kind, value, count in requirements:
-        ms = store[pidx]
-        if kind == ARC_VAR:
-            have = 0
-            for tok, cnt in ms.items():
-                if tok[0] == value and tok[1] <= now:
-                    have += cnt
-            if have < count:
-                raise FiringError(
-                    f"firing {t.name}: needs {count} ready token(s) of "
-                    f"{value!r} in {net.places[pidx].name}, found {have}"
-                )
-        else:
-            ready, total = _gather_all(ms, now)
-            if ready != value or total != count:
-                raise FiringError(
-                    f"firing {t.name}: ready population of "
-                    f"{net.places[pidx].name} no longer matches the binding"
-                )
+def kernel_name():
+    """Name of the engine kernel; always 'pure' (interpreted Python)."""
+    return "pure"
+
+
+def enabled_bindings(net, state):
+    """Every enabled (transition name, binding), in enumeration order."""
+    raw = enumerate_bindings(net, state.store, state.counts, state.now)
+    return [
+        (net.transitions[t_idx].name, Binding(assign, reqs))
+        for t_idx, assign, reqs in raw
+    ]
+
+
+def fire(net, state, transition, binding):
+    """Fire a binding that :func:`enabled_bindings` lists right now.
+
+    Raises :class:`FiringError` unless ``binding`` (its assignment and
+    its requirements) is one of the transition's enabled bindings at
+    ``state.now``.  Mutates and returns ``state``.
+    """
+    try:
+        t_idx = net.transition_index[transition]
+    except KeyError:
+        raise FiringError(f"unknown transition {transition}") from None
+    enabled = []
+    _transition_bindings(net, state.store, state.counts, state.now, t_idx, enabled)
+    if (t_idx, binding.assignment, binding.requirements) not in enabled:
+        raise FiringError(
+            f"{transition} is not enabled with the binding "
+            f"{binding.assignment!r} at time {state.now}"
+        )
+    apply_binding(net, state, t_idx, binding.assignment, binding.requirements)
+    return state
+
+
+def advance_time(net, state):
+    """Earliest future time with an enabled binding, or None if dead.
+
+    Only meaningful when nothing is enabled at ``state.now``; calling it
+    while a binding is enabled raises :class:`FiringError`.  The state's
+    clock is not modified; use :func:`step` to actually advance.
+    """
+    store, counts = state.store, state.counts
+    if enumerate_bindings(net, store, counts, state.now):
+        raise FiringError("advance_time called while a binding is enabled")
+    for t in sorted({ts for ts, _pidx in state.calendar}):
+        if enumerate_bindings(net, store, counts, t):
+            return t
+    return None

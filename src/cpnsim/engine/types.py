@@ -7,9 +7,8 @@ consumed.  Transitions remove tokens along input arcs, subject to a
 guard over the bound variables, and produce tokens along output arcs
 whose expressions may draw from the run's random stream.
 
-Everything here is plain data.  The hot operations (binding
-enumeration, firing, time advancement) live in ``_kernel.py``; see
-``core.py`` for the public functional API.
+Everything here is plain data.  The operations on it (binding
+enumeration, firing, time advancement) live in ``_kernel.py``.
 
 Internally every token is a ``(value, timestamp)`` pair; untimed places
 use timestamp 0, which is always ready.  Public accessors report
@@ -307,13 +306,6 @@ class Net:
                 f"transition {tname} references unknown place {pname}"
             ) from None
 
-    def place(self, name: str) -> Place:
-        return self.places[self.place_index[name]]
-
-    @property
-    def transition_names(self) -> list[str]:
-        return [t.name for t in self.transitions]
-
     def __repr__(self):
         return (
             f"Net({len(self.places)} places, {len(self.transitions)} transitions)"
@@ -438,10 +430,6 @@ class Marking:
             store[idx].add((value, ts), count)
         return Marking(self.net, store)
 
-    def multiset(self, place: str) -> Multiset:
-        """Copy of the multiset at ``place`` (internal token form)."""
-        return Multiset(self._store[self.net.place_index[place]])
-
     def count(self, place: str) -> int:
         return self._store[self.net.place_index[place]].total()
 
@@ -551,16 +539,8 @@ class SimState:
         ]
         heapq.heapify(self.calendar)
 
-    def marking(self) -> Marking:
-        """Snapshot of the current marking (copies token stores)."""
-        return Marking(self.net, [Multiset(ms) for ms in self.store])
-
     def count(self, place: str) -> int:
         return self.counts[self.net.place_index[place]]
-
-    def multiset(self, place: str) -> dict:
-        """Direct reference to the internal multiset; treat as read-only."""
-        return self.store[self.net.place_index[place]]
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
         idx = self.net.place_index[place]

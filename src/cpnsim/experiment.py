@@ -54,6 +54,8 @@ class ExperimentPlan:
                 raise ValueError(f"unknown scenario {s!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.scenes_per_run < 1:
+            raise ValueError("scenes_per_run must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.base_seed < 0:
@@ -68,7 +70,6 @@ class ExperimentPlan:
         return ScenarioParams(
             node_count=node_count,
             scenario=scenario,
-            scenes_per_run=self.scenes_per_run,
             **dict(self.param_overrides),
         )
 
@@ -120,8 +121,8 @@ class ExperimentResult:
 
 
 def _run_replication(scene: SceneConfig, params: ScenarioParams,
-                     seed_path: tuple[int, ...],
-                     step_limit: int) -> list[SceneRecord] | None:
+                     seed_path: tuple[int, ...], step_limit: int,
+                     scenes_per_run: int) -> list[SceneRecord] | None:
     """Records of one seeded run, or None if it hit the step ceiling."""
     rng = RngStream(*seed_path)
     net, marking = build_net(scene, params, rng)
@@ -130,13 +131,13 @@ def _run_replication(scene: SceneConfig, params: ScenarioParams,
     monitor = attach_scene_monitor(hooks)
 
     def stop(st, event):
-        return monitor.scenes_completed >= params.scenes_per_run
+        return monitor.scenes_completed >= scenes_per_run
 
     try:
         run(net, state, stop=stop, hooks=hooks, max_steps=step_limit)
     except StepLimitExceeded:
         return None
-    if monitor.scenes_completed < params.scenes_per_run:
+    if monitor.scenes_completed < scenes_per_run:
         return None
     return monitor.records
 
@@ -147,9 +148,10 @@ def _replication_task(args):
     Catches every error, logging its traceback, so that one failing
     replication ends neither the sweep nor, with ``--jobs``, the pool.
     """
-    scene, params, seed_path, step_limit = args
+    scene, params, seed_path, step_limit, scenes_per_run = args
     try:
-        return _run_replication(scene, params, seed_path, step_limit)
+        return _run_replication(scene, params, seed_path, step_limit,
+                                scenes_per_run)
     except Exception as exc:
         seed = ":".join(map(str, seed_path))
         logger.exception("replication failed: seed=%s", seed)
@@ -162,7 +164,8 @@ def _replication_args(plan: ExperimentPlan):
         params = plan.params_for(scenario, node_count)
         for rep in range(plan.replications):
             seed_path = (plan.base_seed, index, rep)
-            yield (scene, params, seed_path, plan.step_limit)
+            yield (scene, params, seed_path, plan.step_limit,
+                   plan.scenes_per_run)
 
 
 def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:

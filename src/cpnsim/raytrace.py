@@ -46,7 +46,6 @@ from cpnsim.engine import (
     Net,
     NetBuilder,
     OutputArc,
-    SimState,
     Var,
     instance_set,
     list_set,
@@ -165,7 +164,6 @@ class ScenarioParams:
     recovery_max_ms: int = 86_400_000
     work_ms_per_complexity: float = 50.0
     work_ms_per_kilopixel: float = 1.0
-    scenes_per_run: int = 1
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -180,8 +178,7 @@ class ScenarioParams:
                       "work_ms_per_complexity", "work_ms_per_kilopixel"):
             if getattr(self, field) < 0:
                 raise ValueError(f"{field} must be >= 0")
-        for field in ("chck_per_ms", "chck_max_mult", "recovery_max_ms",
-                      "scenes_per_run"):
+        for field in ("chck_per_ms", "chck_max_mult", "recovery_max_ms"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
 
@@ -425,10 +422,3 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         .add_tokens("preparedTiles", [(TileList(), 0)])
     )
     return net, marking
-
-
-def initial_state(scene: SceneConfig, params: ScenarioParams,
-                  rng: RngStream) -> SimState:
-    """Build the net and wrap it in a ready-to-run state."""
-    net, marking = build_net(scene, params, rng)
-    return SimState(net, marking, rng)

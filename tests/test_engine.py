@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from cpnsim.engine import (
     All,
     BOOL_SET,
+    Binding,
     DeadMarking,
     Fired,
     FiringError,
@@ -23,7 +24,6 @@ from cpnsim.engine import (
     UNIT,
     UNIT_SET,
     Var,
-    add_tokens,
     advance_time,
     enabled_bindings,
     fire,
@@ -40,41 +40,41 @@ def state_of(net, marking, seed=1234, now=0):
 
 
 # ---------------------------------------------------------------------------
-# add_tokens
+# Marking.add_tokens
 # ---------------------------------------------------------------------------
 
 class TestAddTokens:
     def test_multiset_notation_counts(self, guard_net):
-        marking = add_tokens(Marking.empty(guard_net), "p1", [1] + [2] * 7)
+        marking = Marking.empty(guard_net).add_tokens("p1", [1] + [2] * 7)
         assert marking.count("p1") == 8
         assert marking.tokens("p1") == [(1, None, 1), (2, None, 7)]
 
     def test_empty_addition_is_identity(self, guard_net):
-        before = add_tokens(Marking.empty(guard_net), "p1", [3])
-        after = add_tokens(before, "p2", [])
+        before = Marking.empty(guard_net).add_tokens("p1", [3])
+        after = before.add_tokens("p2", [])
         assert after == before
 
     def test_repeated_addition_sums_counts(self, guard_net):
         marking = Marking.empty(guard_net)
-        marking = add_tokens(marking, "p1", [4])
-        marking = add_tokens(marking, "p1", [4])
+        marking = marking.add_tokens("p1", [4])
+        marking = marking.add_tokens("p1", [4])
         assert marking.tokens("p1") == [(4, None, 2)]
 
     def test_unknown_place_rejected(self, guard_net):
         with pytest.raises(ModelStructureError):
-            add_tokens(Marking.empty(guard_net), "nope", [1])
+            Marking.empty(guard_net).add_tokens("nope", [1])
 
     def test_colour_mismatch_rejected(self, guard_net):
         with pytest.raises(ModelStructureError):
-            add_tokens(Marking.empty(guard_net), "p1", ["text"])
+            Marking.empty(guard_net).add_tokens("p1", ["text"])
 
     def test_timestamp_on_untimed_place_rejected(self, guard_net):
         with pytest.raises(ModelStructureError):
-            add_tokens(Marking.empty(guard_net), "p1", [(1, 5)])
+            Marking.empty(guard_net).add_tokens("p1", [(1, 5)])
 
     def test_value_semantics_leaves_original_untouched(self, guard_net):
-        before = add_tokens(Marking.empty(guard_net), "p1", [1])
-        add_tokens(before, "p1", [9])
+        before = Marking.empty(guard_net).add_tokens("p1", [1])
+        before.add_tokens("p1", [9])
         assert before.tokens("p1") == [(1, None, 1)]
 
 
@@ -114,7 +114,7 @@ class TestEnabledBindings:
         b.transition("t", inputs=[("a", Var("x"))],
                      outputs=[OutputArc("out", lambda v, s: v["x"])])
         net = b.build()
-        state = state_of(net, add_tokens(Marking.empty(net), "a", [3, 1, 2]))
+        state = state_of(net, Marking.empty(net).add_tokens("a", [3, 1, 2]))
         values = [bd.assignment["x"] for _, bd in enabled_bindings(net, state)]
         assert values == [1, 2, 3]
 
@@ -180,6 +180,28 @@ class TestFire:
         bad = good._replace(assignment={"x": 1, "y": 1})
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", bad)
+
+    # Bindings the enumeration does not list: no requirements at all
+    # (a token from nothing), and the requirements of the enabled x=2
+    # binding under the assignment x=50 (consume a 2, produce 51).
+    @pytest.mark.parametrize("p1, p2, assignment, take_enabled_requirements", [
+        ([2], [1], {"x": 2, "y": 1}, False),
+        ([], [], {"x": 2, "y": 1}, False),
+        ([2, 9], [1], {"x": 50, "y": 1}, True),
+    ], ids=["no-requirements", "empty-marking", "assignment-off-its-tokens"])
+    def test_binding_not_enumerated_is_rejected(self, guard_net, p1, p2,
+                                                assignment,
+                                                take_enabled_requirements):
+        state = state_of(guard_net, guard_net_marking(guard_net, p1, p2))
+        requirements = ()
+        if take_enabled_requirements:
+            requirements = enabled_bindings(guard_net, state)[0][1].requirements
+        before = ([dict(ms) for ms in state.store], list(state.counts),
+                  state.step_count, list(state.calendar))
+        with pytest.raises(FiringError):
+            fire(guard_net, state, "tt", Binding(assignment, requirements))
+        assert (state.store, state.counts, state.step_count,
+                state.calendar) == before
 
     def test_oldest_ready_token_consumed_first(self):
         b = NetBuilder()
@@ -388,7 +410,7 @@ class TestAllArc:
 
     def test_binds_whole_population_with_multiplicity(self):
         net = self.collector_net(require=-1)
-        state = state_of(net, add_tokens(Marking.empty(net), "pool", [2, 1, 2]))
+        state = state_of(net, Marking.empty(net).add_tokens("pool", [2, 1, 2]))
         [(_, binding)] = enabled_bindings(net, state)
         assert binding.assignment["xs"] == (1, 2, 2)
         fire(net, state, "collect", binding)
@@ -397,10 +419,10 @@ class TestAllArc:
 
     def test_exact_count_gate(self):
         net = self.collector_net(require=3)
-        marking = add_tokens(Marking.empty(net), "pool", [1, 2])
+        marking = Marking.empty(net).add_tokens("pool", [1, 2])
         state = state_of(net, marking)
         assert enabled_bindings(net, state) == []
-        state = state_of(net, add_tokens(marking, "pool", [3]))
+        state = state_of(net, marking.add_tokens("pool", [3]))
         [(_, binding)] = enabled_bindings(net, state)
         assert binding.assignment["xs"] == (1, 2, 3)
 
@@ -463,7 +485,7 @@ class TestNetValidation:
         b.transition("t", inputs=[("a", Var("x"))],
                      outputs=[OutputArc("flag", lambda v, s: v["x"])])
         net = b.build()
-        state = state_of(net, add_tokens(Marking.empty(net), "a", [1]))
+        state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
         [(name, binding)] = enabled_bindings(net, state)
         with pytest.raises(ModelStructureError):
             fire(net, state, name, binding)
@@ -476,8 +498,8 @@ class TestNetValidation:
         b.transition("t", inputs=[("a", Var("x")), ("b", Var("x"))],
                      outputs=[OutputArc("out", lambda v, s: v["x"])])
         net = b.build()
-        marking = add_tokens(Marking.empty(net), "a", [1, 2])
-        state = state_of(net, add_tokens(marking, "b", [2, 3]))
+        marking = Marking.empty(net).add_tokens("a", [1, 2])
+        state = state_of(net, marking.add_tokens("b", [2, 3]))
         found = enabled_bindings(net, state)
         assert [bd.assignment["x"] for _, bd in found] == [2]
 
@@ -489,10 +511,10 @@ class TestNetValidation:
                      outputs=[OutputArc("out", lambda v, s: 0)])
         net = b.build()
         # A single token cannot satisfy both variables.
-        state = state_of(net, add_tokens(Marking.empty(net), "a", [5]))
+        state = state_of(net, Marking.empty(net).add_tokens("a", [5]))
         assert enabled_bindings(net, state) == []
         # Two tokens of one value can (x = y = 5 uses two tokens).
-        state = state_of(net, add_tokens(Marking.empty(net), "a", [5, 5]))
+        state = state_of(net, Marking.empty(net).add_tokens("a", [5, 5]))
         assignments = [bd.assignment for _, bd in enabled_bindings(net, state)]
         assert {"x": 5, "y": 5} in assignments
 
@@ -532,6 +554,6 @@ class TestMultisetLaws:
     @given(tokens=token_lists)
     def test_marking_equality_is_value_based(self, tokens):
         net = build_guard_net()
-        a = add_tokens(Marking.empty(net), "p1", tokens)
-        b = add_tokens(Marking.empty(net), "p1", list(reversed(tokens)))
+        a = Marking.empty(net).add_tokens("p1", tokens)
+        b = Marking.empty(net).add_tokens("p1", list(reversed(tokens)))
         assert a == b

@@ -53,13 +53,11 @@ class TestPlan:
         ]
 
     def test_params_carry_overrides_and_scenario(self):
-        plan = tiny_plan(param_overrides=(("master_perf", 0.5),),
-                         scenes_per_run=3)
+        plan = tiny_plan(param_overrides=(("master_perf", 0.5),))
         p = plan.params_for(REAL, 7)
         assert p.node_count == 7
         assert p.scenario == REAL
         assert p.master_perf == 0.5
-        assert p.scenes_per_run == 3
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
@@ -157,10 +155,10 @@ class TestAborts:
                                                            caplog):
         real_run = experiment._run_replication
 
-        def run_or_fail(scene, params, seed_path, step_limit):
+        def run_or_fail(scene, params, seed_path, step_limit, scenes_per_run):
             if seed_path == (1, 0, 1):
                 raise RuntimeError("model bug")
-            return real_run(scene, params, seed_path, step_limit)
+            return real_run(scene, params, seed_path, step_limit, scenes_per_run)
 
         monkeypatch.setattr(experiment, "_run_replication", run_or_fail)
         with caplog.at_level(logging.ERROR, logger="cpnsim.experiment"):
@@ -178,8 +176,8 @@ class TestAborts:
 
     def test_replication_helper_reports_incompletion_as_none(self):
         params = tiny_plan().params_for(IDEAL, 2)
-        assert _run_replication(TINY, params, (1, 0, 0), 10) is None
-        records = _run_replication(TINY, params, (1, 0, 0), 100_000)
+        assert _run_replication(TINY, params, (1, 0, 0), 10, 1) is None
+        records = _run_replication(TINY, params, (1, 0, 0), 100_000, 1)
         assert records is not None and len(records) == 1
 
 

@@ -228,7 +228,7 @@ def rescan_advance(net, state):
     pending = sorted({ts for pidx in net.timed_places
                       for _value, ts in state.store[pidx] if ts > state.now})
     for t in pending:
-        if _kernel.any_enabled(net, state.store, state.counts, t):
+        if _kernel.enumerate_bindings(net, state.store, state.counts, t):
             return t
     return None
 

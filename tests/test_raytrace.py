@@ -21,7 +21,6 @@ from cpnsim.raytrace import (
     build_net,
     comm_delay_ms,
     failure_detect_ms,
-    initial_state,
     make_tile_list,
     raytrace_ms,
     recovery_ms,
@@ -316,7 +315,8 @@ class TestBuildNet:
 
     def test_single_node_cluster_distributes_instantly(self):
         rng = RngStream(1)
-        state = initial_state(TINY, params(node_count=1), rng)
+        net, marking = build_net(TINY, params(node_count=1), rng)
+        state = SimState(net, marking, rng)
         from cpnsim.engine import step
         event = step(state.net, state)
         assert event.transition == "sendScene"
