@@ -10,7 +10,9 @@ on stderr; the exit status is 1 if any replication failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from cpnsim.engine import DEFAULT_STEP_LIMIT
@@ -22,7 +24,7 @@ from cpnsim.experiment import (
     run_experiment_detailed,
 )
 from cpnsim.monitors import write_records
-from cpnsim.raytrace import SceneConfig
+from cpnsim.raytrace import ScenarioParams, SceneConfig
 
 DEFAULT_SCENES = ("10000x7500", "30000x22500")
 DEFAULT_TILE = "1000x750"
@@ -30,17 +32,9 @@ DEFAULT_COMPLEXITY = 36500
 
 # ScenarioParams fields tunable via --param-<name>; node_count and
 # scenario are controlled by their own sweep flags.
-PARAM_FLAGS = (
-    ("master_perf", float),
-    ("client_success_p", float),
-    ("send_mean_ms", float),
-    ("send_var", float),
-    ("comm_mean_ms", float),
-    ("chck_per_ms", int),
-    ("chck_max_mult", int),
-    ("recovery_max_ms", int),
-    ("work_ms_per_complexity", float),
-    ("work_ms_per_kilopixel", float),
+PARAM_NAMES = tuple(
+    f.name for f in dataclasses.fields(ScenarioParams)
+    if f.name not in ("node_count", "scenario")
 )
 
 
@@ -134,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort a replication after this many engine steps",
     )
     params = parser.add_argument_group("model parameters")
-    for name, kind in PARAM_FLAGS:
+    kinds = typing.get_type_hints(ScenarioParams)
+    for name in PARAM_NAMES:
         params.add_argument(
-            f"--param-{name}", type=kind, default=None, metavar="X",
+            f"--param-{name}", type=kinds[name], default=None, metavar="X",
             help=f"override ScenarioParams.{name}",
         )
     return parser
@@ -157,7 +152,7 @@ def plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
     scenarios = ("ideal", "real") if args.scenario == "both" else (args.scenario,)
     overrides = tuple(
         (name, getattr(args, f"param_{name}"))
-        for name, _ in PARAM_FLAGS
+        for name in PARAM_NAMES
         if getattr(args, f"param_{name}") is not None
     )
     return ExperimentPlan(

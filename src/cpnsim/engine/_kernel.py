@@ -6,6 +6,14 @@ and ``advance_time`` expose single moves of it.  A binding is enabled
 exactly when the enumeration lists it; ``fire`` checks a caller's
 binding against that list, so the firing rule is stated once.
 
+The marking is ``state.store``: per place index, a list of
+``(value, timestamp)`` pairs, one entry per token, in no particular
+order.  A firing appends the tokens it produces and deletes the ones
+it consumes; a place's token count is the length of its list.  No
+token value is ever hashed: candidates are found by sorting a place's
+ready values and grouping equal neighbours, and consumed tokens by
+comparing values.
+
 Determinism contract:
 
 * transitions are visited in name order (the order ``Net`` stores them);
@@ -38,6 +46,7 @@ the calendar are put back, and the memos, all empty, are what
 enumeration at the old time gives too.
 """
 
+from bisect import bisect_right
 from heapq import heappop, heappush
 
 from cpnsim.engine.types import (
@@ -57,35 +66,27 @@ DEFAULT_STEP_LIMIT = 10_000_000
 _MISSING = object()
 
 
-def _ready_candidates(ms, now):
+def _ready_candidates(tokens, now):
     """Sorted (value, ready count) pairs, one per distinct ready value.
 
-    Equal values (one value at several timestamps) are merged after the
-    sort, so no token value is hashed.
+    Equal values (one value at several timestamps, or repeated tokens)
+    form one run after the sort, found by bisection, so no token value
+    is hashed.
     """
-    ready = [(tok[0], cnt) for tok, cnt in ms.items() if tok[1] <= now]
-    if len(ready) < 2:
-        return ready
-    ready.sort()
-    merged = [ready[0]]
-    for value, cnt in ready[1:]:
-        if value == merged[-1][0]:
-            merged[-1] = (value, merged[-1][1] + cnt)
-        else:
-            merged.append((value, cnt))
+    values = sorted([value for value, ts in tokens if ts <= now])
+    merged = []
+    i, n = 0, len(values)
+    while i < n:
+        value = values[i]
+        end = bisect_right(values, value, i + 1)
+        merged.append((value, end - i))
+        i = end
     return merged
 
 
-def _gather_all(ms, now):
+def _gather_all(tokens, now):
     """All ready values (with multiplicity), sorted."""
-    vals = []
-    for tok, cnt in ms.items():
-        if tok[1] <= now:
-            v = tok[0]
-            for _ in range(cnt):
-                vals.append(v)
-    vals.sort()
-    return tuple(vals)
+    return tuple(sorted([value for value, ts in tokens if ts <= now]))
 
 
 def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out):
@@ -129,7 +130,7 @@ def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out):
         used[key] = taken
 
 
-def _transition_bindings(net, store, counts, now, t_idx, out):
+def _transition_bindings(net, store, now, t_idx, out):
     """Append enabled bindings of one transition to ``out``."""
     t = net.transitions[t_idx]
     in_arcs = t.in_arcs
@@ -137,7 +138,7 @@ def _transition_bindings(net, store, counts, now, t_idx, out):
     if len(in_arcs) == 1 and in_arcs[0][1] == ARC_VAR:
         # One Var arc: each ready value is one binding, no product.
         pidx, _kind, name, _require = in_arcs[0]
-        if counts[pidx] == 0:
+        if not store[pidx]:
             return
         guard = t.guard
         for value, _avail in _ready_candidates(store[pidx], now):
@@ -149,9 +150,9 @@ def _transition_bindings(net, store, counts, now, t_idx, out):
     for arc in in_arcs:
         pidx = arc[0]
         if arc[1] == ARC_ALL:
-            if arc[3] >= 0 and counts[pidx] != arc[3]:
+            if arc[3] >= 0 and len(store[pidx]) != arc[3]:
                 return
-        elif counts[pidx] == 0:
+        elif not store[pidx]:
             return
 
     var_arcs = []
@@ -173,56 +174,50 @@ def _transition_bindings(net, store, counts, now, t_idx, out):
     _expand(var_arcs, 0, assign, {}, [], t.guard, t_idx, tuple(all_reqs), out)
 
 
-def enumerate_bindings(net, store, counts, now):
+def enumerate_bindings(net, store, now):
     """Every enabled (transition index, assignment, requirements) triple."""
     out = []
     for t_idx in range(len(net.transitions)):
-        _transition_bindings(net, store, counts, now, t_idx, out)
+        _transition_bindings(net, store, now, t_idx, out)
     return out
 
 
-def _remove_value(ms, pidx, value, count, now, counts):
-    """Remove ``count`` ready tokens of ``value``, oldest timestamps first."""
-    ready = sorted(ts for (v, ts), c in ms.items() if v == value and ts <= now)
-    assert len(ready) >= 1, "firing consumed a token that is not present"
-    taken = 0
-    for ts in ready:
-        if taken == count:
-            break
-        tok = (value, ts)
-        have = ms[tok]
-        grab = have if have < count - taken else count - taken
-        if grab == have:
-            del ms[tok]
-        else:
-            ms[tok] = have - grab
-        taken += grab
-    assert taken == count, "not enough ready tokens for a bound value"
-    counts[pidx] -= count
+def _remove_value(tokens, value, count, now):
+    """Remove ``count`` ready tokens of ``value``, oldest timestamps first.
+
+    The bound value is normally the very object enumeration read from
+    this place, so identity is tested first: a large value, such as a
+    long list token, is then not compared with itself element by element.
+    """
+    ready = sorted([
+        (ts, i) for i, (v, ts) in enumerate(tokens)
+        if ts <= now and (v is value or v == value)
+    ])
+    assert len(ready) >= count, "not enough ready tokens for a bound value"
+    for i in sorted([i for _ts, i in ready[:count]], reverse=True):
+        del tokens[i]
 
 
-def _remove_all_ready(ms, pidx, expected, now, counts):
+def _remove_all_ready(tokens, expected, now):
     """Remove every ready token; the population must match the binding."""
-    removed = 0
-    for tok in [tok for tok in ms if tok[1] <= now]:
-        removed += ms.pop(tok)
-    assert removed == expected, "ready population changed since enumeration"
-    counts[pidx] -= removed
+    pending = [tok for tok in tokens if tok[1] > now]
+    assert len(tokens) - len(pending) == expected, (
+        "ready population changed since enumeration")
+    tokens[:] = pending
 
 
 def apply_binding(net, state, t_idx, assign, requirements):
     """Fire without re-validation (caller guarantees enabledness)."""
     store = state.store
-    counts = state.counts
     now = state.now
     t = net.transitions[t_idx]
     dirty = set()
 
     for pidx, kind, value, count in requirements:
         if kind == ARC_VAR:
-            _remove_value(store[pidx], pidx, value, count, now, counts)
+            _remove_value(store[pidx], value, count, now)
         else:
-            _remove_all_ready(store[pidx], pidx, count, now, counts)
+            _remove_all_ready(store[pidx], count, now)
         dirty.add(pidx)
 
     checks = net.colour_checks
@@ -247,12 +242,7 @@ def apply_binding(net, state, t_idx, assign, requirements):
         else:
             tok = (value, 0)
             dirty.add(pidx)
-        ms = store[pidx]
-        if tok in ms:
-            ms[tok] += 1
-        else:
-            ms[tok] = 1
-        counts[pidx] += 1
+        store[pidx].append(tok)
     state.step_count += 1
 
     # Only places whose ready tokens changed can alter enabledness;
@@ -273,14 +263,13 @@ def _enumerate_cached(net, state):
     """
     cache = state.cache
     store = state.store
-    counts = state.counts
     now = state.now
     out = []
     for t_idx in range(len(net.transitions)):
         memo = cache[t_idx]
         if memo is None:
             memo = []
-            _transition_bindings(net, store, counts, now, t_idx, memo)
+            _transition_bindings(net, store, now, t_idx, memo)
             cache[t_idx] = memo
         out.extend(memo)
     return out
@@ -358,7 +347,7 @@ def kernel_name():
 
 def enabled_bindings(net, state):
     """Every enabled (transition name, binding), in enumeration order."""
-    raw = enumerate_bindings(net, state.store, state.counts, state.now)
+    raw = enumerate_bindings(net, state.store, state.now)
     return [
         (net.transitions[t_idx].name, Binding(assign, reqs))
         for t_idx, assign, reqs in raw
@@ -377,7 +366,7 @@ def fire(net, state, transition, binding):
     except KeyError:
         raise FiringError(f"unknown transition {transition}") from None
     enabled = []
-    _transition_bindings(net, state.store, state.counts, state.now, t_idx, enabled)
+    _transition_bindings(net, state.store, state.now, t_idx, enabled)
     if (t_idx, binding.assignment, binding.requirements) not in enabled:
         raise FiringError(
             f"{transition} is not enabled with the binding "
@@ -394,10 +383,10 @@ def advance_time(net, state):
     while a binding is enabled raises :class:`FiringError`.  The state's
     clock is not modified; use :func:`step` to actually advance.
     """
-    store, counts = state.store, state.counts
-    if enumerate_bindings(net, store, counts, state.now):
+    store = state.store
+    if enumerate_bindings(net, store, state.now):
         raise FiringError("advance_time called while a binding is enabled")
     for t in sorted({ts for ts, _pidx in state.calendar}):
-        if enumerate_bindings(net, store, counts, t):
+        if enumerate_bindings(net, store, t):
             return t
     return None

@@ -10,15 +10,18 @@ whose expressions may draw from the run's random stream.
 Everything here is plain data.  The operations on it (binding
 enumeration, firing, time advancement) live in ``_kernel.py``.
 
-Internally every token is a ``(value, timestamp)`` pair; untimed places
-use timestamp 0, which is always ready.  Public accessors report
-``None`` timestamps for untimed places.
+Internally a place is a list of ``(value, timestamp)`` pairs, one entry
+per token; untimed places use timestamp 0, which is always ready.  The
+engine sorts and compares token values but never hashes them.  Public
+accessors group equal tokens into ``(value, timestamp, count)``
+triples and report ``None`` timestamps for untimed places.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -76,14 +79,14 @@ UNIT = Unit()
 class ColourSet:
     """A named token type: a membership predicate over values.
 
-    Token values must be hashable, and mutually orderable within one
-    place (the engine sorts candidate tokens for deterministic binding
-    enumeration).  ``contains`` is the exact membership test, applied
-    wherever tokens enter from outside the net (add_tokens).  ``quick``
-    is an O(1) spot check applied to every token a firing produces; for
-    scalar sets it equals ``contains``, for container sets it only
-    checks the container shape so firing cost stays independent of the
-    value size.
+    Token values must be mutually orderable within one place: the
+    engine sorts candidate tokens for deterministic binding enumeration
+    and groups equal ones by sorting, never by hashing.  ``contains``
+    is the exact membership test, applied wherever tokens enter from
+    outside the net (add_tokens).  ``quick`` is an O(1) spot check
+    applied to every token a firing produces; for scalar sets it equals
+    ``contains``, for container sets it only checks the container shape
+    so firing cost stays independent of the value size.
     """
 
     name: str
@@ -108,16 +111,18 @@ BOOL_SET = ColourSet("BOOL", lambda v: isinstance(v, bool))
 
 
 def instance_set(name: str, cls: type) -> ColourSet:
-    """Colour set of all instances of a (hashable, orderable) class."""
+    """Colour set of all instances of an orderable class."""
     return ColourSet(name, lambda v: isinstance(v, cls))
 
 
 def list_set(name: str, element: ColourSet) -> ColourSet:
     """Colour set of tuples whose elements all belong to ``element``.
 
-    Lists are represented as tuples so tokens stay hashable.  The
-    per-firing spot check only verifies the tuple shape and the first
-    element, keeping firing cost independent of the list length.
+    Lists are represented as tuples so a token cannot change while it
+    sits in a place, and arc expressions build a new list instead of
+    editing the one they consumed.  The per-firing spot check only
+    verifies the tuple shape and the first element, keeping firing cost
+    independent of the list length.
     """
     return ColourSet(
         name,
@@ -343,25 +348,12 @@ class NetBuilder:
 # Markings
 # ---------------------------------------------------------------------------
 
-class Multiset(dict):
-    """Token multiset: maps ``(value, timestamp)`` to a positive count."""
-
-    def add(self, token, count: int = 1):
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self[token] = self.get(token, 0) + count
-
-    def remove(self, token, count: int = 1):
-        have = self.get(token, 0)
-        if have < count:
-            raise ValueError(f"cannot remove {count} of {token!r}; have {have}")
-        if have == count:
-            del self[token]
-        else:
-            self[token] = have - count
-
-    def total(self) -> int:
-        return sum(self.values())
+def _grouped(tokens) -> list[tuple[Any, int, int]]:
+    """Sorted ``(value, timestamp, count)`` triples of a place's tokens."""
+    return [
+        (value, ts, sum(1 for _ in run))
+        for (value, ts), run in groupby(sorted(tokens))
+    ]
 
 
 def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
@@ -376,6 +368,11 @@ def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
     else:
         items = ((t, 1) for t in tokens)
     for tok, count in items:
+        if not (_is_int(count) and count >= 1):
+            raise ModelStructureError(
+                f"token count {count!r} on place {place.name} is not a "
+                "positive integer"
+            )
         if place.timed:
             if not (isinstance(tok, tuple) and len(tok) == 2 and _is_int(tok[1])):
                 raise ModelStructureError(
@@ -404,18 +401,18 @@ class Marking:
     aliases mutable state with the original.
     """
 
-    def __init__(self, net: Net, store: list[Multiset] | None = None):
+    def __init__(self, net: Net, store: list[list] | None = None):
         self.net = net
         if store is None:
-            store = [Multiset() for _ in net.places]
+            store = [[] for _ in net.places]
         self._store = store
 
     @classmethod
     def empty(cls, net: Net) -> "Marking":
         return cls(net)
 
-    def _copy_store(self) -> list[Multiset]:
-        return [Multiset(ms) for ms in self._store]
+    def _copy_store(self) -> list[list]:
+        return [list(tokens) for tokens in self._store]
 
     def add_tokens(self, place: str, tokens) -> "Marking":
         """Return a new marking with ``tokens`` added to ``place``."""
@@ -425,37 +422,38 @@ class Marking:
             raise ModelStructureError(f"unknown place {place}") from None
         store = self._copy_store()
         for value, ts, count in _normalize_tokens(self.net.places[idx], tokens):
-            if count <= 0:
-                raise ModelStructureError(f"non-positive token count {count}")
-            store[idx].add((value, ts), count)
+            store[idx].extend([(value, ts)] * count)
         return Marking(self.net, store)
 
     def count(self, place: str) -> int:
-        return self._store[self.net.place_index[place]].total()
+        return len(self._store[self.net.place_index[place]])
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
         """Sorted ``(value, timestamp, count)`` list; timestamp None if untimed."""
         idx = self.net.place_index[place]
         timed = self.net.places[idx].timed
-        out = []
-        for (value, ts), count in sorted(self._store[idx].items()):
-            out.append((value, ts if timed else None, count))
-        return out
+        return [
+            (value, ts if timed else None, count)
+            for value, ts, count in _grouped(self._store[idx])
+        ]
 
     def __eq__(self, other):
         return (
             isinstance(other, Marking)
             and other.net is self.net
-            and other._store == self._store
+            and all(
+                sorted(mine) == sorted(theirs)
+                for mine, theirs in zip(self._store, other._store)
+            )
         )
 
     def __repr__(self):
         parts = []
-        for place, ms in zip(self.net.places, self._store):
-            if ms:
+        for place, tokens in zip(self.net.places, self._store):
+            if tokens:
                 terms = "++".join(
                     f"{c}`{v!r}" + (f"@{ts}" if place.timed else "")
-                    for (v, ts), c in sorted(ms.items())
+                    for v, ts, c in _grouped(tokens)
                 )
                 parts.append(f"{place.name}: {terms}")
         return "Marking(" + "; ".join(parts) + ")"
@@ -502,15 +500,17 @@ class SimState:
     Arc expressions receive the state and may read ``now`` and draw from
     ``rng``.
 
+    ``store`` holds, per place index, the list of the place's
+    ``(value, timestamp)`` tokens, one entry per token, in no particular
+    order; a place's token count is the length of its list.
+
     ``calendar`` is the event calendar that drives time advance.  Its
     invariant: the set of its entries equals the set of
     ``(timestamp, place index)`` pairs of tokens stamped later than
     ``now`` (an entry may repeat, one per token produced).
     """
 
-    __slots__ = (
-        "net", "store", "counts", "now", "rng", "step_count", "cache", "calendar"
-    )
+    __slots__ = ("net", "store", "now", "rng", "step_count", "cache", "calendar")
 
     def __init__(self, net: Net, marking: Marking, rng, now: int = 0):
         if marking.net is not net:
@@ -518,8 +518,7 @@ class SimState:
         if now < 0:
             raise ModelStructureError("model time must be non-negative")
         self.net = net
-        self.store: list[dict] = marking._copy_store()
-        self.counts: list[int] = [ms.total() for ms in self.store]
+        self.store: list[list] = marking._copy_store()
         self.now: int = now
         self.rng = rng
         self.step_count: int = 0
@@ -540,18 +539,18 @@ class SimState:
         heapq.heapify(self.calendar)
 
     def count(self, place: str) -> int:
-        return self.counts[self.net.place_index[place]]
+        return len(self.store[self.net.place_index[place]])
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
         idx = self.net.place_index[place]
         timed = self.net.places[idx].timed
         return [
             (v, ts if timed else None, c)
-            for (v, ts), c in sorted(self.store[idx].items())
+            for v, ts, c in _grouped(self.store[idx])
         ]
 
     def __repr__(self):
         return (
             f"SimState(now={self.now}, steps={self.step_count}, "
-            f"tokens={sum(self.counts)})"
+            f"tokens={sum(map(len, self.store))})"
         )

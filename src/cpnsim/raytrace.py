@@ -36,7 +36,7 @@ every tile is computed and starts the next scene.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from cpnsim.engine import (
@@ -75,25 +75,6 @@ class Tile(NamedTuple):
     complexity: int
     will_succeed: bool
     node_type: int
-
-
-class TileList(tuple):
-    """The work list: a tuple of tiles that computes its hash only once.
-
-    The engine hashes and compares the single ``preparedTiles`` token
-    several times per step, and a plain tuple rehashes every tile each
-    time.  Hash and equality are those of the plain tuple.
-    """
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __eq__(self, other):
-        return self is other or tuple.__eq__(self, other)
 
 
 class Node(NamedTuple):
@@ -166,6 +147,10 @@ class ScenarioParams:
     work_ms_per_kilopixel: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.scenario not in SCENARIOS:
@@ -205,7 +190,7 @@ def tile_complexity(remaining_tiles: int, remaining_complexity: int,
 
 
 def make_tile_list(scene: SceneConfig, complexity: int,
-                   rng: RngStream) -> TileList:
+                   rng: RngStream) -> tuple[Tile, ...]:
     """Cut the scene into a row-major grid of unassigned tiles.
 
     Interior tiles have the configured tile dimensions; the last row
@@ -227,7 +212,7 @@ def make_tile_list(scene: SceneConfig, complexity: int,
             tiles.append(Tile(w, h, share, True, UNASSIGNED))
             budget -= share
             remaining -= 1
-    return TileList(tiles)
+    return tuple(tiles)
 
 
 def assign_tile(tile: Tile, node: Node, params: ScenarioParams,
@@ -334,7 +319,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
                 "prepTile",
                 lambda v, s: assign_tile(v["tiles"][0], v["node"], params, s.rng),
             ),
-            OutputArc("preparedTiles", lambda v, s: TileList(v["tiles"][1:])),
+            OutputArc("preparedTiles", lambda v, s: v["tiles"][1:]),
         ],
     )
 
@@ -381,7 +366,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         outputs=[
             OutputArc(
                 "preparedTiles",
-                lambda v, s: TileList(v["tiles"] + (_reset(v["tile"]),)),
+                lambda v, s: v["tiles"] + (_reset(v["tile"]),),
             ),
             OutputArc(
                 "invalidNodes",
@@ -419,6 +404,6 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         .add_tokens("newScene", [scene.draw_complexity(rng)])
         .add_tokens("nodesNo", [params.node_count])
         .add_tokens("freeNodes", nodes)
-        .add_tokens("preparedTiles", [(TileList(), 0)])
+        .add_tokens("preparedTiles", [((), 0)])
     )
     return net, marking

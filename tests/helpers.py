@@ -10,7 +10,6 @@ from cpnsim.engine import (
     OutputArc,
     Var,
 )
-from cpnsim.raytrace import TileList
 
 
 def build_guard_net():
@@ -118,7 +117,6 @@ class RaytraceInvariantHook:
         lists = state.tokens("preparedTiles")
         assert state.count("preparedTiles") == 1 and lists[0][2] == 1, (
             "preparedTiles must hold exactly one list token")
-        assert type(lists[0][0]) is TileList, "the work list lost its hash memo"
         queued = len(lists[0][0])
 
         if self.in_scene:

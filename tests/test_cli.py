@@ -79,6 +79,8 @@ class TestParsing:
         "--complexity-range 5:1",
         "--scene 500x500",
         "--param-master_perf 0",
+        "--param-send_mean_ms nan",
+        "--param-comm_mean_ms inf",
         "--step-limit 0",
         "--step-limit -5",
     ])

@@ -15,7 +15,6 @@ from cpnsim.engine import (
     INT_SET,
     Marking,
     ModelStructureError,
-    Multiset,
     NetBuilder,
     OutputArc,
     SimState,
@@ -71,6 +70,11 @@ class TestAddTokens:
     def test_timestamp_on_untimed_place_rejected(self, guard_net):
         with pytest.raises(ModelStructureError):
             Marking.empty(guard_net).add_tokens("p1", [(1, 5)])
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_bad_token_counts_rejected(self, guard_net, count):
+        with pytest.raises(ModelStructureError):
+            Marking.empty(guard_net).add_tokens("p1", {5: count})
 
     def test_value_semantics_leaves_original_untouched(self, guard_net):
         before = Marking.empty(guard_net).add_tokens("p1", [1])
@@ -196,12 +200,11 @@ class TestFire:
         requirements = ()
         if take_enabled_requirements:
             requirements = enabled_bindings(guard_net, state)[0][1].requirements
-        before = ([dict(ms) for ms in state.store], list(state.counts),
+        before = ([list(tokens) for tokens in state.store],
                   state.step_count, list(state.calendar))
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", Binding(assignment, requirements))
-        assert (state.store, state.counts, state.step_count,
-                state.calendar) == before
+        assert (state.store, state.step_count, state.calendar) == before
 
     def test_oldest_ready_token_consumed_first(self):
         b = NetBuilder()
@@ -528,28 +531,26 @@ token_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=30)
 
 class TestMultisetLaws:
     @given(tokens=token_lists)
-    def test_add_then_remove_is_identity(self, tokens):
-        ms = Multiset()
-        for t in tokens:
-            ms.add((t, 0))
-        snapshot = dict(ms)
-        ms.add((99, 0), 3)
-        ms.remove((99, 0), 3)
-        assert dict(ms) == snapshot
+    def test_count_is_the_number_of_tokens_added(self, tokens):
+        net = build_guard_net()
+        marking = Marking.empty(net).add_tokens("p1", tokens)
+        assert marking.count("p1") == len(tokens)
 
     @given(tokens=token_lists)
-    def test_counts_stay_positive(self, tokens):
-        ms = Multiset()
-        for t in tokens:
-            ms.add((t, 0))
-        assert all(c > 0 for c in ms.values())
-        assert ms.total() == len(tokens)
+    def test_token_counts_are_positive_and_sum_to_count(self, tokens):
+        net = build_guard_net()
+        marking = Marking.empty(net).add_tokens("p1", tokens)
+        counts = [c for _value, _ts, c in marking.tokens("p1")]
+        assert all(c > 0 for c in counts)
+        assert sum(counts) == marking.count("p1")
 
-    def test_removing_more_than_present_rejected(self):
-        ms = Multiset()
-        ms.add((1, 0), 2)
-        with pytest.raises(ValueError):
-            ms.remove((1, 0), 3)
+    @given(tokens=token_lists)
+    def test_fresh_state_reports_the_marking_tokens(self, tokens):
+        net = build_guard_net()
+        marking = Marking.empty(net).add_tokens("p1", tokens)
+        state = state_of(net, marking)
+        assert state.tokens("p1") == marking.tokens("p1")
+        assert state.count("p1") == marking.count("p1")
 
     @given(tokens=token_lists)
     def test_marking_equality_is_value_based(self, tokens):

@@ -40,14 +40,12 @@ TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
 
 def check_state(net, state):
-    """The memos, the counts and the calendar agree with the marking."""
+    """The memos and the calendar agree with the marking."""
     assert _kernel._enumerate_cached(net, state) == _kernel.enumerate_bindings(
-        net, state.store, state.counts, state.now)
-    for pidx, ms in enumerate(state.store):
-        assert state.counts[pidx] == sum(ms.values())
+        net, state.store, state.now)
     assert set(state.calendar) == {
-        (ts, pidx) for pidx, ms in enumerate(state.store)
-        for _value, ts in ms if ts > state.now}
+        (ts, pidx) for pidx, tokens in enumerate(state.store)
+        for _value, ts in tokens if ts > state.now}
 
 
 class MemoCheckHook:
@@ -228,7 +226,7 @@ def rescan_advance(net, state):
     pending = sorted({ts for pidx in net.timed_places
                       for _value, ts in state.store[pidx] if ts > state.now})
     for t in pending:
-        if _kernel.enumerate_bindings(net, state.store, state.counts, t):
+        if _kernel.enumerate_bindings(net, state.store, t):
             return t
     return None
 
@@ -241,7 +239,7 @@ def test_generated_nets_step_like_the_stateless_reference(case, seed):
     check_state(net, state)
     for _ in range(30):
         enabled = _kernel.enumerate_bindings(
-            net, state.store, state.counts, state.now)
+            net, state.store, state.now)
         expected = None
         if not enabled:
             expected = rescan_advance(net, state)

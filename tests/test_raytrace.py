@@ -15,7 +15,6 @@ from cpnsim.raytrace import (
     ScenarioParams,
     SceneConfig,
     Tile,
-    TileList,
     UNASSIGNED,
     assign_tile,
     build_net,
@@ -106,14 +105,6 @@ class TestMakeTileList:
         tiles = make_tile_list(BIG, 36_500, RngStream(1))
         assert len(tiles) == 900
         assert all((t.width, t.height) == (1_000, 750) for t in tiles)
-
-    def test_tile_list_hashes_and_compares_as_a_tuple(self):
-        tiles = make_tile_list(SMALL, 36_500, RngStream(1))
-        assert type(tiles) is TileList
-        plain = tuple(tiles)
-        assert hash(tiles) == hash(tiles) == hash(plain)
-        assert tiles == plain and plain == tiles
-        assert tiles != plain[1:] and TileList() == ()
 
     def test_single_tile_scene_takes_everything(self):
         scene = SceneConfig(1_000, 750, 1_000, 750, 123)
