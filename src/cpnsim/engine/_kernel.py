@@ -12,7 +12,15 @@ order.  A firing appends the tokens it produces and deletes the ones
 it consumes; a place's token count is the length of its list.  No
 token value is ever hashed: candidates are found by sorting a place's
 ready values and grouping equal neighbours, and consumed tokens by
-comparing values.
+comparing values.  A place of one token, such as the raytracing
+model's work list, skips both: its candidate is that token if ready,
+and consuming it empties the list.
+
+A transition's bindings are the product of its ``Var`` arcs'
+candidates, filtered by the guard.  Two shapes skip the general
+depth-first product (``_expand``) and list the same bindings in the
+same order: one ``Var`` arc, and two ``Var`` arcs on different places
+with different variables, which is a plain double loop.
 
 Determinism contract:
 
@@ -29,21 +37,24 @@ Enumeration is memoised per transition in ``state.cache``.  A memo
 holds the transition's enabled bindings at ``state.now`` and stays
 valid until the ready tokens of one of its input places change: a
 firing clears the memos of the watchers of every place it took from or
-gave a ready token to.
+gave a ready token to.  ``step`` rebuilds the cleared memos, sums their
+lengths to get the number ``n`` of enabled bindings, draws ``k`` and
+walks the memos in transition order to the ``k``-th binding; it builds
+no list of all bindings.
 
 Time advance runs off the event calendar ``state.calendar``, a min-heap
 of ``(timestamp, place index)`` entries for the tokens stamped later
 than ``now`` (its invariant is stated on :class:`SimState`).  When
 nothing is enabled, ``step`` pops every entry at the earliest
 timestamp, clears the memos of those places' watchers, moves the clock
-there and rebuilds the cleared memos, repeating until a binding is
-enabled.  Memos it did not clear stay valid at the new time, because
-none of their input places gained a ready token.  The memos built at
-the new time are the ones the next firing uses, so an advance
-enumerates each transition at most once per candidate time and scans
-no token.  With the calendar empty the marking is dead: the clock and
-the calendar are put back, and the memos, all empty, are what
-enumeration at the old time gives too.
+there and rebuilds the cleared memos, repeating until their lengths
+sum to more than zero.  Memos it did not clear stay valid at the new
+time, because none of their input places gained a ready token.  The
+memos built at the new time are the ones the next firing uses, so an
+advance enumerates each transition at most once per candidate time
+and scans no token.  With the calendar empty the marking is dead: the
+clock and the calendar are put back, and the memos, all empty, are
+what enumeration at the old time gives too.
 """
 
 from bisect import bisect_right
@@ -71,8 +82,11 @@ def _ready_candidates(tokens, now):
 
     Equal values (one value at several timestamps, or repeated tokens)
     form one run after the sort, found by bisection, so no token value
-    is hashed.
+    is hashed.  A place of one token needs no sort.
     """
+    if len(tokens) == 1:
+        value, ts = tokens[0]
+        return [(value, 1)] if ts <= now else []
     values = sorted([value for value, ts in tokens if ts <= now])
     merged = []
     i, n = 0, len(values)
@@ -147,6 +161,26 @@ def _transition_bindings(net, store, now, t_idx, out):
                 out.append((t_idx, assign, ((pidx, ARC_VAR, value, 1),)))
         return
 
+    if len(in_arcs) == 2:
+        (p1, kind1, name1, _r1), (p2, kind2, name2, _r2) = in_arcs
+        if kind1 == ARC_VAR == kind2 and p1 != p2 and name1 != name2:
+            # Two independent Var arcs: the product of the two candidate
+            # lists, in the order and with the requirements of _expand.
+            if not store[p1] or not store[p2]:
+                return
+            first = _ready_candidates(store[p1], now)
+            if not first:
+                return
+            second = _ready_candidates(store[p2], now)
+            guard = t.guard
+            for v1, _avail1 in first:
+                for v2, _avail2 in second:
+                    assign = {name1: v1, name2: v2}
+                    if guard is None or guard(assign):
+                        out.append((t_idx, assign, (
+                            (p1, ARC_VAR, v1, 1), (p2, ARC_VAR, v2, 1))))
+            return
+
     for arc in in_arcs:
         pidx = arc[0]
         if arc[1] == ARC_ALL:
@@ -188,7 +222,14 @@ def _remove_value(tokens, value, count, now):
     The bound value is normally the very object enumeration read from
     this place, so identity is tested first: a large value, such as a
     long list token, is then not compared with itself element by element.
+    A place of one token is emptied without a scan.
     """
+    if count == 1 and len(tokens) == 1:
+        v, ts = tokens[0]
+        assert ts <= now and (v is value or v == value), (
+            "not enough ready tokens for a bound value")
+        tokens.clear()
+        return
     ready = sorted([
         (ts, i) for i, (v, ts) in enumerate(tokens)
         if ts <= now and (v is value or v == value)
@@ -254,25 +295,21 @@ def apply_binding(net, state, t_idx, assign, requirements):
             cache[w] = None
 
 
-def _enumerate_cached(net, state):
-    """Like enumerate_bindings but reusing per-transition memos.
+def _refresh_memos(net, state):
+    """Rebuild the cleared memos; return the number of enabled bindings.
 
-    A memo stays valid until a firing changes one of the transition's
-    input places or a time advance makes one of their pending tokens
-    ready; rebuild order matches the stateless enumeration exactly.
+    Rebuild order matches the stateless enumeration exactly, so the
+    memos, read in transition order, list what
+    :func:`enumerate_bindings` lists.
     """
     cache = state.cache
-    store = state.store
-    now = state.now
-    out = []
-    for t_idx in range(len(net.transitions)):
-        memo = cache[t_idx]
+    n = 0
+    for t_idx, memo in enumerate(cache):
         if memo is None:
-            memo = []
-            _transition_bindings(net, store, now, t_idx, memo)
-            cache[t_idx] = memo
-        out.extend(memo)
-    return out
+            memo = cache[t_idx] = []
+            _transition_bindings(net, state.store, state.now, t_idx, memo)
+        n += len(memo)
+    return n
 
 
 def step(net, state):
@@ -281,11 +318,14 @@ def step(net, state):
     Returns the resulting :class:`Fired`, :class:`TimeAdvanced` or
     :class:`DeadMarking` event.
     """
-    bindings = _enumerate_cached(net, state)
-    if bindings:
-        n = len(bindings)
-        chosen = bindings[state.rng.pick(n)] if n > 1 else bindings[0]
-        t_idx, assign, requirements = chosen
+    n = _refresh_memos(net, state)
+    if n:
+        k = state.rng.pick(n) if n > 1 else 0
+        for memo in state.cache:
+            if k < len(memo):
+                break
+            k -= len(memo)
+        t_idx, assign, requirements = memo[k]
         apply_binding(net, state, t_idx, assign, requirements)
         return Fired(
             net.transitions[t_idx].name, Binding(assign, requirements), state.now
@@ -303,7 +343,7 @@ def step(net, state):
             for w in watchers[entry[1]]:
                 cache[w] = None
         state.now = t
-        if _enumerate_cached(net, state):
+        if _refresh_memos(net, state):
             return TimeAdvanced(previous, t)
     # Dead: put the clock and the calendar back; entries popped in order
     # already form a heap.  Every memo is empty, as at ``previous``.

@@ -49,9 +49,18 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one scene")
         if not self.node_counts or min(self.node_counts) < 1:
             raise ValueError("node counts must all be >= 1")
+        # A repeated point would write duplicate summary rows and plot
+        # values, and merge two points' records into one file.
+        if len(set(self.node_counts)) != len(self.node_counts):
+            raise ValueError(f"duplicate node counts in {self.node_counts}")
+        labels = [scene.label for scene in self.scenes]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate scenes in {labels}")
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario {s!r}")
+        if len(set(self.scenarios)) != len(self.scenarios):
+            raise ValueError(f"duplicate scenarios in {self.scenarios}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.scenes_per_run < 1:
@@ -172,7 +181,8 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
     """Run the full plan and keep raw records and abort reports."""
     args = list(_replication_args(plan))
     if plan.jobs > 1:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+        # A fork-started pool starts all of its workers at once.
+        with ProcessPoolExecutor(max_workers=min(plan.jobs, len(args))) as pool:
             outcomes = list(pool.map(_replication_task, args, chunksize=4))
     else:
         outcomes = [_replication_task(a) for a in args]

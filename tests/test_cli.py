@@ -83,6 +83,9 @@ class TestParsing:
         "--param-comm_mean_ms inf",
         "--step-limit 0",
         "--step-limit -5",
+        "--nodes 2,2",
+        "--nodes 1-3,2",
+        "--scene 4000x3000 --scene 4000x3000",
     ])
     def test_invalid_plans_exit_with_usage_error(self, flags, tmp_path, capsys):
         out = tmp_path / "results"

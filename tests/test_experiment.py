@@ -76,6 +76,14 @@ class TestPlan:
             tiny_plan(param_overrides=(("master_perf", 0.0),))
         with pytest.raises(ValueError):
             tiny_plan(step_limit=0)
+        with pytest.raises(ValueError):
+            tiny_plan(node_counts=(2, 3, 2))
+        with pytest.raises(ValueError):
+            tiny_plan(scenes=(TINY, TINY2, TINY))
+        with pytest.raises(ValueError):
+            tiny_plan(scenes=(TINY, SceneConfig(4_000, 3_000, 500, 500, 7)))
+        with pytest.raises(ValueError):
+            tiny_plan(scenarios=(REAL, IDEAL, REAL))
 
 
 class TestAggregation:
@@ -128,6 +136,30 @@ class TestAggregation:
         par = run_experiment_detailed(plan_par)
         assert seq.points == par.points
         assert seq.records == par.records
+
+    def test_worker_pool_is_no_larger_than_the_sweep(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records ``max_workers`` and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        seq = run_experiment_detailed(tiny_plan(jobs=1))
+        par = run_experiment_detailed(tiny_plan(jobs=64))
+        assert started == [2]
+        assert par.records == seq.records
 
     def test_multi_scene_runs_produce_one_record_each(self):
         plan = tiny_plan(replications=2, scenes_per_run=3)

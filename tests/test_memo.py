@@ -2,11 +2,13 @@
 
 ``step`` enumerates through per-transition memos that firings and time
 advances invalidate, and advances time off an event calendar.  After
-every step of a run, the memoised result must equal a fresh stateless
-enumeration of the same marking, each place's token count must equal
-its multiset total, and the calendar must hold exactly the pending
-tokens' (timestamp, place) pairs.  On generated nets, every time
-advance must also land where a rescan of the pending tokens says.
+every step of a run, the memos, read in transition order, must equal a
+fresh stateless enumeration of the same marking, and the calendar must
+hold exactly the pending tokens' (timestamp, place) pairs.  On
+generated nets, every time advance must also land where a rescan of
+the pending tokens says.  A pick of ``k`` must fire the k-th binding of
+the stateless enumeration, and two Var arcs must enumerate like the
+general product.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from cpnsim.engine import (
     Var,
     _kernel,
     advance_time,
+    enabled_bindings,
     run,
     step,
 )
@@ -41,8 +44,10 @@ TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
 def check_state(net, state):
     """The memos and the calendar agree with the marking."""
-    assert _kernel._enumerate_cached(net, state) == _kernel.enumerate_bindings(
-        net, state.store, state.now)
+    n = _kernel._refresh_memos(net, state)
+    memos = [binding for memo in state.cache for binding in memo]
+    assert len(memos) == n
+    assert memos == _kernel.enumerate_bindings(net, state.store, state.now)
     assert set(state.calendar) == {
         (ts, pidx) for pidx, tokens in enumerate(state.store)
         for _value, ts in tokens if ts > state.now}
@@ -127,6 +132,84 @@ class TestEnumerationMemo:
             advances += hook.advances
         assert {"unsucRtrStart", "returnTile", "recoverNode"} <= fired
         assert advances > 0
+
+
+class PickStub:
+    """Stands in for a run's stream: ``pick`` returns a fixed index."""
+
+    def __init__(self, k, n):
+        self.k = k
+        self.n = n
+
+    def pick(self, n):
+        assert n == self.n
+        return self.k
+
+
+class TestStepReadsTheMemos:
+    @staticmethod
+    def gapped_net():
+        """Transitions a, b, c in that order; b is not enabled at first.
+
+        a has one Var arc, c two Var arcs on different places, so the
+        memos read [2 bindings, none, 4 bindings].
+        """
+        b = NetBuilder()
+        for p in ("p0", "p1", "p2"):
+            b.place(p, INT_SET)
+        b.transition("a", [("p0", Var("x"))], [])
+        b.transition("b", [("p1", Var("x"))], [], guard=lambda v: v["x"] > 5)
+        b.transition("c", [("p2", Var("x")), ("p0", Var("y"))],
+                     [OutputArc("p1", lambda v, s: v["x"] + v["y"])])
+        net = b.build()
+        marking = (Marking.empty(net).add_tokens("p0", [2, 1, 2])
+                   .add_tokens("p1", [3]).add_tokens("p2", [5, 4]))
+        return net, marking
+
+    def test_the_kth_pick_fires_the_kth_binding(self):
+        net, marking = self.gapped_net()
+        state = SimState(net, marking, PickStub(0, 6))
+        assert _kernel._refresh_memos(net, state) == 6
+        assert [len(memo) for memo in state.cache] == [2, 0, 4]
+        for k in range(6):
+            state = SimState(net, marking, PickStub(k, 6))
+            name, binding = enabled_bindings(net, state)[k]
+            assert step(net, state) == Fired(name, binding, 0)
+
+    def test_two_var_arcs_enumerate_like_the_general_product(self, monkeypatch):
+        # Several candidates per arc, repeated values, pending tokens, a
+        # guard that rejects some pairs, and both arc orders.
+        b = NetBuilder()
+        b.place("p1", INT_SET)
+        b.place("p2", INT_SET, timed=True)
+        b.place("out", INT_SET)
+
+        def guard(v):
+            return (v["x"] + v["y"]) % 3 != 0
+
+        b.transition("xy", [("p1", Var("x")), ("p2", Var("y"))],
+                     [OutputArc("out", lambda v, s: v["x"])], guard=guard)
+        b.transition("yx", [("p2", Var("y")), ("p1", Var("x"))],
+                     [OutputArc("out", lambda v, s: v["y"])], guard=guard)
+        net = b.build()
+        marking = (Marking.empty(net).add_tokens("p1", [3, 1, 2, 2, 1])
+                   .add_tokens("p2", [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]))
+        store, now = SimState(net, marking, RngStream(0)).store, 2
+        expected = []
+        for t_idx, t in enumerate(net.transitions):
+            arcs = [(pidx, name, _kernel._ready_candidates(store[pidx], now))
+                    for pidx, _kind, name, _require in t.in_arcs]
+            _kernel._expand(arcs, 0, {}, {}, [], t.guard, t_idx, (), expected)
+
+        def no_product(*args):
+            raise AssertionError("two Var arcs went through _expand")
+
+        monkeypatch.setattr(_kernel, "_expand", no_product)
+        got = _kernel.enumerate_bindings(net, store, now)
+        assert got == expected
+        assert [list(a.items()) for _t, a, _r in got] == [
+            list(a.items()) for _t, a, _r in expected]
+        assert len(got) == 2 * 6  # 3 x 3 ready pairs, 3 of them rejected
 
 
 # ---------------------------------------------------------------------------
