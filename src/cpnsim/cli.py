@@ -61,8 +61,11 @@ def _node_counts(text: str) -> tuple[int, ...]:
     try:
         for part in text.split(","):
             if "-" in part:
-                lo, hi = part.split("-")
-                counts.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-"))
+                if lo > hi:
+                    raise argparse.ArgumentTypeError(
+                        f"empty node range {part!r}: {lo} is above {hi}")
+                counts.extend(range(lo, hi + 1))
             else:
                 counts.append(int(part))
     except ValueError:
@@ -175,10 +178,14 @@ def main(argv=None) -> int:
         plan = plan_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
+    # Fail before the sweep, not after it, if --out is unusable.
+    out: Path = args.out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --out directory: {exc}")
     result = run_experiment_detailed(plan)
 
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     emit_csv(result.points, out / "summary.csv")
     emit_plotdata(result.points, out)
     for (scene, scenario), records in sorted(result.records.items()):

@@ -16,11 +16,12 @@ comparing values.  A place of one token, such as the raytracing
 model's work list, skips both: its candidate is that token if ready,
 and consuming it empties the list.
 
-A transition's bindings are the product of its ``Var`` arcs'
-candidates, filtered by the guard.  Two shapes skip the general
-depth-first product (``_expand``) and list the same bindings in the
-same order: one ``Var`` arc, and two ``Var`` arcs on different places
-with different variables, which is a plain double loop.
+Every input arc of a transition has its own place and its own variable
+(``Net`` rejects anything else), so a transition's bindings are the
+plain product of its ``Var`` arcs' candidate values, with the ``All``
+arcs' tuples, filtered by the guard.  Two shapes skip the general
+product and list the same bindings in the same order: one ``Var`` arc
+(a plain loop) and two ``Var`` arcs (a plain double loop).
 
 Determinism contract:
 
@@ -28,8 +29,8 @@ Determinism contract:
 * candidate tokens of a ``Var`` arc are the distinct *values* with at
   least one ready token, visited in sorted order, so bindings are
   enumerated lexicographically over (transition, token values);
-* firing consumes, per bound value, the ready token(s) with the
-  smallest timestamps;
+* firing consumes, per bound value, the ready token with the smallest
+  timestamp (the lowest list index among equal timestamps);
 * ``step`` draws one choice index from the state RNG only when two or
   more bindings are enabled.
 
@@ -59,6 +60,7 @@ what enumeration at the old time gives too.
 
 from bisect import bisect_right
 from heapq import heappop, heappush
+from itertools import product
 
 from cpnsim.engine.types import (
     ARC_ALL,
@@ -74,28 +76,25 @@ from cpnsim.engine.types import (
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
-_MISSING = object()
-
 
 def _ready_candidates(tokens, now):
-    """Sorted (value, ready count) pairs, one per distinct ready value.
+    """The distinct ready values, sorted.
 
     Equal values (one value at several timestamps, or repeated tokens)
-    form one run after the sort, found by bisection, so no token value
+    form one run after the sort, skipped by bisection, so no token value
     is hashed.  A place of one token needs no sort.
     """
     if len(tokens) == 1:
         value, ts = tokens[0]
-        return [(value, 1)] if ts <= now else []
+        return [value] if ts <= now else []
     values = sorted([value for value, ts in tokens if ts <= now])
-    merged = []
+    distinct = []
     i, n = 0, len(values)
     while i < n:
         value = values[i]
-        end = bisect_right(values, value, i + 1)
-        merged.append((value, end - i))
-        i = end
-    return merged
+        distinct.append(value)
+        i = bisect_right(values, value, i + 1)
+    return distinct
 
 
 def _gather_all(tokens, now):
@@ -103,59 +102,18 @@ def _gather_all(tokens, now):
     return tuple(sorted([value for value, ts in tokens if ts <= now]))
 
 
-def _expand(arcs, i, assign, used, reqs, guard, t_idx, all_reqs, out):
-    """Depth-first product over Var arcs with availability bookkeeping.
-
-    Arcs on one place share its sorted candidate list, so ``used`` and
-    the merged requirements key a token by (place, position in that
-    list) and never hash a token value.
-    """
-    if i == len(arcs):
-        if guard is not None and not guard(assign):
-            return
-        merged = {}
-        for key, value in reqs:
-            if key in merged:
-                merged[key][3] += 1
-            else:
-                merged[key] = [key[0], ARC_VAR, value, 1]
-        requirements = tuple(map(tuple, merged.values())) + all_reqs
-        out.append((t_idx, dict(assign), requirements))
-        return
-
-    pidx, name, candidates = arcs[i]
-    bound = assign.get(name, _MISSING)
-    fresh = bound is _MISSING
-    for j, (value, avail) in enumerate(candidates):
-        if not fresh and value != bound:
-            continue
-        key = (pidx, j)
-        taken = used.get(key, 0)
-        if taken >= avail:
-            continue
-        used[key] = taken + 1
-        if fresh:
-            assign[name] = value
-        reqs.append((key, value))
-        _expand(arcs, i + 1, assign, used, reqs, guard, t_idx, all_reqs, out)
-        reqs.pop()
-        if fresh:
-            del assign[name]
-        used[key] = taken
-
-
 def _transition_bindings(net, store, now, t_idx, out):
     """Append enabled bindings of one transition to ``out``."""
     t = net.transitions[t_idx]
     in_arcs = t.in_arcs
+    guard = t.guard
 
     if len(in_arcs) == 1 and in_arcs[0][1] == ARC_VAR:
         # One Var arc: each ready value is one binding, no product.
         pidx, _kind, name, _require = in_arcs[0]
         if not store[pidx]:
             return
-        guard = t.guard
-        for value, _avail in _ready_candidates(store[pidx], now):
+        for value in _ready_candidates(store[pidx], now):
             assign = {name: value}
             if guard is None or guard(assign):
                 out.append((t_idx, assign, ((pidx, ARC_VAR, value, 1),)))
@@ -163,18 +121,17 @@ def _transition_bindings(net, store, now, t_idx, out):
 
     if len(in_arcs) == 2:
         (p1, kind1, name1, _r1), (p2, kind2, name2, _r2) = in_arcs
-        if kind1 == ARC_VAR == kind2 and p1 != p2 and name1 != name2:
-            # Two independent Var arcs: the product of the two candidate
-            # lists, in the order and with the requirements of _expand.
+        if kind1 == ARC_VAR == kind2:
+            # Two Var arcs: the product of the two candidate lists, in
+            # the order and with the requirements of the general path.
             if not store[p1] or not store[p2]:
                 return
             first = _ready_candidates(store[p1], now)
             if not first:
                 return
             second = _ready_candidates(store[p2], now)
-            guard = t.guard
-            for v1, _avail1 in first:
-                for v2, _avail2 in second:
+            for v1 in first:
+                for v2 in second:
                     assign = {name1: v1, name2: v2}
                     if guard is None or guard(assign):
                         out.append((t_idx, assign, (
@@ -189,23 +146,34 @@ def _transition_bindings(net, store, now, t_idx, out):
         elif not store[pidx]:
             return
 
-    var_arcs = []
+    # The All arcs' variables come first in every assignment, then the
+    # Var arcs' in arc order; requirements list the Var arcs first.
+    fixed = {}
     all_reqs = []
-    assign = {}
+    var_places, var_names, candidates = [], [], []
     for pidx, kind, name, require in in_arcs:
         if kind == ARC_ALL:
             values = _gather_all(store[pidx], now)
             if require >= 0 and len(values) != require:
                 return
-            assign[name] = values
+            fixed[name] = values
             all_reqs.append((pidx, ARC_ALL, values, len(values)))
         else:
-            candidates = _ready_candidates(store[pidx], now)
-            if not candidates:
+            ready = _ready_candidates(store[pidx], now)
+            if not ready:
                 return
-            var_arcs.append((pidx, name, candidates))
+            var_places.append(pidx)
+            var_names.append(name)
+            candidates.append(ready)
+    all_reqs = tuple(all_reqs)
 
-    _expand(var_arcs, 0, assign, {}, [], t.guard, t_idx, tuple(all_reqs), out)
+    for values in product(*candidates):
+        assign = dict(fixed)
+        assign.update(zip(var_names, values))
+        if guard is None or guard(assign):
+            out.append((t_idx, assign, tuple(
+                (pidx, ARC_VAR, value, 1)
+                for pidx, value in zip(var_places, values)) + all_reqs))
 
 
 def enumerate_bindings(net, store, now):
@@ -216,27 +184,27 @@ def enumerate_bindings(net, store, now):
     return out
 
 
-def _remove_value(tokens, value, count, now):
-    """Remove ``count`` ready tokens of ``value``, oldest timestamps first.
+def _remove_value(tokens, value, now):
+    """Remove the ready token of ``value`` with the smallest timestamp.
 
+    Among equal timestamps the token with the lowest list index goes.
     The bound value is normally the very object enumeration read from
     this place, so identity is tested first: a large value, such as a
     long list token, is then not compared with itself element by element.
     A place of one token is emptied without a scan.
     """
-    if count == 1 and len(tokens) == 1:
+    if len(tokens) == 1:
         v, ts = tokens[0]
         assert ts <= now and (v is value or v == value), (
-            "not enough ready tokens for a bound value")
+            "no ready token for a bound value")
         tokens.clear()
         return
-    ready = sorted([
+    ready = [
         (ts, i) for i, (v, ts) in enumerate(tokens)
         if ts <= now and (v is value or v == value)
-    ])
-    assert len(ready) >= count, "not enough ready tokens for a bound value"
-    for i in sorted([i for _ts, i in ready[:count]], reverse=True):
-        del tokens[i]
+    ]
+    assert ready, "no ready token for a bound value"
+    del tokens[min(ready)[1]]
 
 
 def _remove_all_ready(tokens, expected, now):
@@ -256,7 +224,7 @@ def apply_binding(net, state, t_idx, assign, requirements):
 
     for pidx, kind, value, count in requirements:
         if kind == ARC_VAR:
-            _remove_value(store[pidx], value, count, now)
+            _remove_value(store[pidx], value, now)
         else:
             _remove_all_ready(store[pidx], count, now)
         dirty.add(pidx)

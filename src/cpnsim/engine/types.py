@@ -49,32 +49,6 @@ class StepLimitExceeded(EngineError):
 # Token values and colour sets
 # ---------------------------------------------------------------------------
 
-class Unit:
-    """The single value of the unit colour set."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "()"
-
-    def __eq__(self, other):
-        return isinstance(other, Unit)
-
-    def __lt__(self, other):  # total order with a single element
-        return False
-
-    def __hash__(self):
-        return 0
-
-
-UNIT = Unit()
-
-
 @dataclass(frozen=True)
 class ColourSet:
     """A named token type: a membership predicate over values.
@@ -105,9 +79,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-UNIT_SET = ColourSet("UNIT", lambda v: isinstance(v, Unit))
 INT_SET = ColourSet("INT", _is_int)
-BOOL_SET = ColourSet("BOOL", lambda v: isinstance(v, bool))
 
 
 def instance_set(name: str, cls: type) -> ColourSet:
@@ -146,9 +118,10 @@ class Var(NamedTuple):
     """Input-arc pattern binding one token's value to a variable.
 
     When several ready tokens share the same value, firing consumes the
-    one with the smallest timestamp.  The same variable may appear on
-    several arcs of one transition; all occurrences must bind equal
-    values backed by distinct tokens.
+    one with the smallest timestamp.  Every input arc of a transition
+    has its own place and its own variable; to join two arcs on equal
+    values, bind them to different variables and compare those in the
+    guard.
     """
 
     name: str
@@ -246,15 +219,13 @@ class Net:
         watchers: list[list[int]] = [[] for _ in places]
         for t_idx, t in enumerate(self.transitions):
             for pidx, _kind, _name, _require in t.in_arcs:
-                if t_idx not in watchers[pidx]:
-                    watchers[pidx].append(t_idx)
+                watchers[pidx].append(t_idx)
         self.place_watchers: tuple[tuple[int, ...], ...] = tuple(
             tuple(w) for w in watchers
         )
 
     def _compile(self, spec: TransitionSpec) -> _CompiledTransition:
         in_arcs = []
-        seen_places: dict[int, int] = {}
         for place_name, pattern in spec.inputs:
             idx = self._place_idx(spec.name, place_name)
             if isinstance(pattern, Var):
@@ -265,12 +236,6 @@ class Net:
                 raise ModelStructureError(
                     f"transition {spec.name}: unknown input pattern {pattern!r}"
                 )
-            prev = seen_places.get(idx)
-            if prev == ARC_ALL or (prev is not None and kind == ARC_ALL):
-                raise ModelStructureError(
-                    f"transition {spec.name}: an All arc cannot share place "
-                    f"{place_name} with another input arc"
-                )
             # An exact-count All arc is only well-defined where every
             # token is always ready; on a timed place the ready count
             # depends on the clock and the cheap count prefilter lies.
@@ -279,15 +244,14 @@ class Net:
                     f"transition {spec.name}: All(require=...) needs the "
                     f"untimed place, {place_name} is timed"
                 )
-            seen_places[idx] = kind
             in_arcs.append((idx, kind, pattern.name, require))
-        names = [a[2] for a in in_arcs]
-        for arc in in_arcs:
-            if arc[1] == ARC_ALL and names.count(arc[2]) > 1:
-                raise ModelStructureError(
-                    f"transition {spec.name}: variable {arc[2]} cannot mix "
-                    "All and Var arcs"
-                )
+        places = {arc[0] for arc in in_arcs}
+        names = {arc[2] for arc in in_arcs}
+        if len(places) != len(in_arcs) or len(names) != len(in_arcs):
+            raise ModelStructureError(
+                f"transition {spec.name}: each input arc needs its own "
+                "place and its own variable"
+            )
 
         out_arcs = []
         for arc in spec.outputs:
@@ -467,8 +431,8 @@ class Binding(NamedTuple):
     """An enabled variable assignment plus the tokens it would consume.
 
     ``requirements`` holds ``(place_idx, kind, value, count)`` records;
-    for an ``All`` arc the value is the bound tuple and the count its
-    length.
+    for a ``Var`` arc the count is 1, for an ``All`` arc the value is
+    the bound tuple and the count its length.
     """
 
     assignment: dict

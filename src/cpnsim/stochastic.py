@@ -3,8 +3,8 @@
 Every simulation run owns exactly one :class:`RngStream`; model
 expressions and the engine's tie-breaking all draw from it, so a run is
 fully determined by the stream's seed path.  Streams are backed by
-numpy's PCG64 seeded through ``SeedSequence``, which makes child
-streams derived from ``(seed, *path)`` statistically independent and
+numpy's PCG64 seeded through ``SeedSequence``, which makes streams of
+different seed paths statistically independent and each one
 reproducible across processes.
 
 All duration draws return non-negative integers (milliseconds): normal
@@ -34,10 +34,6 @@ class RngStream:
             np.random.PCG64(np.random.SeedSequence(self.seed_key))
         )
 
-    def child(self, *path: int) -> "RngStream":
-        """Independent stream for a sub-experiment of this one."""
-        return RngStream(*self.seed_key, *path)
-
     @property
     def label(self) -> str:
         """Compact textual form of the seed path, e.g. ``42:3:17``."""
@@ -46,9 +42,6 @@ class RngStream:
     def pick(self, n: int) -> int:
         """Uniform index in [0, n): the engine's tie-break draw."""
         return int(self._gen.integers(n))
-
-    def random(self) -> float:
-        return float(self._gen.random())
 
     def __repr__(self):
         return f"RngStream({self.label})"

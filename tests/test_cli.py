@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import cpnsim.cli as cli
 from cpnsim.cli import build_parser, main, plan_from_args
 from cpnsim.experiment import DEFAULT_NODE_COUNTS, read_csv
 from cpnsim.monitors import read_records
@@ -85,6 +86,7 @@ class TestParsing:
         "--step-limit -5",
         "--nodes 2,2",
         "--nodes 1-3,2",
+        "--nodes 3-1",
         "--scene 4000x3000 --scene 4000x3000",
     ])
     def test_invalid_plans_exit_with_usage_error(self, flags, tmp_path, capsys):
@@ -94,6 +96,26 @@ class TestParsing:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reversed_node_range_is_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--nodes", "1,3-1"])
+        assert exc.value.code == 2
+        assert "empty node range '3-1'" in capsys.readouterr().err
+
+    def test_unusable_out_fails_before_the_sweep(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_sweep(plan):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment_detailed", no_sweep)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["--scene", "4000x3000", "--nodes", "1", "--replications",
+                  "1", "--out", str(blocker / "sub")])
+        assert exc.value.code == 2
+        assert "error: cannot create --out directory" in capsys.readouterr().err
 
     def test_tile_flag_changes_the_grid(self):
         plan = parse_plan(["--scene", "4000x3000", "--tile", "2000x1500"])

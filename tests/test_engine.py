@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from cpnsim.engine import (
     All,
-    BOOL_SET,
     Binding,
     DeadMarking,
     Fired,
@@ -20,8 +19,6 @@ from cpnsim.engine import (
     SimState,
     StepLimitExceeded,
     TimeAdvanced,
-    UNIT,
-    UNIT_SET,
     Var,
     advance_time,
     enabled_bindings,
@@ -361,11 +358,11 @@ class TestStepAndRun:
 
     def test_step_limit_raises(self):
         b = NetBuilder()
-        b.place("a", UNIT_SET)
+        b.place("a", INT_SET)
         b.transition("loop", inputs=[("a", Var("x"))],
                      outputs=[OutputArc("a", lambda v, s: v["x"])])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [UNIT]))
+        state = state_of(net, Marking.empty(net).add_tokens("a", [0]))
         with pytest.raises(StepLimitExceeded):
             run(net, state, max_steps=50)
 
@@ -484,42 +481,29 @@ class TestNetValidation:
     def test_produced_value_outside_colour_set_rejected(self):
         b = NetBuilder()
         b.place("a", INT_SET)
-        b.place("flag", BOOL_SET)
+        b.place("out", INT_SET)
         b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("flag", lambda v, s: v["x"])])
+                     outputs=[OutputArc("out", lambda v, s: str(v["x"]))])
         net = b.build()
         state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
         [(name, binding)] = enabled_bindings(net, state)
         with pytest.raises(ModelStructureError):
             fire(net, state, name, binding)
 
-    def test_same_variable_on_two_places_must_unify(self):
+    @pytest.mark.parametrize("inputs", [
+        [("a", Var("x")), ("a", Var("y"))],
+        [("a", Var("x")), ("b", Var("x"))],
+        [("a", All("xs")), ("a", Var("y"))],
+        [("a", All("x")), ("b", Var("x"))],
+    ], ids=["two-vars-one-place", "one-var-two-places",
+            "all-and-var-one-place", "all-and-var-one-variable"])
+    def test_input_arcs_need_their_own_place_and_variable(self, inputs):
         b = NetBuilder()
         b.place("a", INT_SET)
         b.place("b", INT_SET)
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("x")), ("b", Var("x"))],
-                     outputs=[OutputArc("out", lambda v, s: v["x"])])
-        net = b.build()
-        marking = Marking.empty(net).add_tokens("a", [1, 2])
-        state = state_of(net, marking.add_tokens("b", [2, 3]))
-        found = enabled_bindings(net, state)
-        assert [bd.assignment["x"] for _, bd in found] == [2]
-
-    def test_two_variables_same_place_need_distinct_tokens(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("x")), ("a", Var("y"))],
-                     outputs=[OutputArc("out", lambda v, s: 0)])
-        net = b.build()
-        # A single token cannot satisfy both variables.
-        state = state_of(net, Marking.empty(net).add_tokens("a", [5]))
-        assert enabled_bindings(net, state) == []
-        # Two tokens of one value can (x = y = 5 uses two tokens).
-        state = state_of(net, Marking.empty(net).add_tokens("a", [5, 5]))
-        assignments = [bd.assignment for _, bd in enabled_bindings(net, state)]
-        assert {"x": 5, "y": 5} in assignments
+        b.transition("t", inputs=inputs, outputs=[])
+        with pytest.raises(ModelStructureError, match="transition t"):
+            b.build()
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from cpnsim.engine import (
     run,
     step,
 )
+from cpnsim.engine.types import ARC_VAR
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream, uniform_int
 
@@ -176,7 +177,7 @@ class TestStepReadsTheMemos:
             name, binding = enabled_bindings(net, state)[k]
             assert step(net, state) == Fired(name, binding, 0)
 
-    def test_two_var_arcs_enumerate_like_the_general_product(self, monkeypatch):
+    def test_two_var_arcs_enumerate_like_the_general_product(self):
         # Several candidates per arc, repeated values, pending tokens, a
         # guard that rejects some pairs, and both arc orders.
         b = NetBuilder()
@@ -197,14 +198,16 @@ class TestStepReadsTheMemos:
         store, now = SimState(net, marking, RngStream(0)).store, 2
         expected = []
         for t_idx, t in enumerate(net.transitions):
-            arcs = [(pidx, name, _kernel._ready_candidates(store[pidx], now))
-                    for pidx, _kind, name, _require in t.in_arcs]
-            _kernel._expand(arcs, 0, {}, {}, [], t.guard, t_idx, (), expected)
-
-        def no_product(*args):
-            raise AssertionError("two Var arcs went through _expand")
-
-        monkeypatch.setattr(_kernel, "_expand", no_product)
+            places = [pidx for pidx, _kind, _name, _require in t.in_arcs]
+            names = [name for _pidx, _kind, name, _require in t.in_arcs]
+            candidates = [_kernel._ready_candidates(store[pidx], now)
+                          for pidx in places]
+            for values in itertools.product(*candidates):
+                assign = dict(zip(names, values))
+                if t.guard(assign):
+                    expected.append((t_idx, assign, tuple(
+                        (pidx, ARC_VAR, value, 1)
+                        for pidx, value in zip(places, values))))
         got = _kernel.enumerate_bindings(net, store, now)
         assert got == expected
         assert [list(a.items()) for _t, a, _r in got] == [
@@ -253,11 +256,11 @@ def _random_delay(a, s):
 def small_timed_nets(draw):
     """(net, marking, now): 1-3 places, 1-3 transitions, Var and All arcs.
 
-    Arcs draw variables from a pool of three names, so one place can
-    carry two Var arcs and a variable can be shared across arcs.  An
-    All arc gets its own variable, and a count requirement only on an
-    untimed place.  Timed outputs have delay 0, a constant or a draw
-    from the run's stream; initial tokens may be stamped in the future.
+    Each transition's input arcs draw their places and their variables
+    without replacement, from the places and a pool of three names.  An
+    All arc gets a count requirement only on an untimed place.  Timed
+    outputs have delay 0, a constant or a draw from the run's stream;
+    initial tokens may be stamped in the future.
     """
     n_places = draw(st.integers(1, 3))
     timed = [draw(st.booleans()) for _ in range(n_places)]
@@ -265,21 +268,17 @@ def small_timed_nets(draw):
     for p, is_timed in enumerate(timed):
         b.place(f"p{p}", INT_SET, timed=is_timed)
     for t in range(draw(st.integers(1, 3))):
-        inputs, var_places, all_places = [], set(), set()
-        for k in range(draw(st.integers(1, 3))):
-            p = draw(st.integers(0, n_places - 1))
-            if p in all_places:
-                continue
-            if draw(st.integers(0, 3)) == 0 and p not in var_places:
+        places = draw(st.lists(st.integers(0, n_places - 1), min_size=1,
+                               max_size=3, unique=True))
+        names = draw(st.lists(st.sampled_from("xyz"), min_size=len(places),
+                              max_size=len(places), unique=True))
+        inputs = []
+        for p, name in zip(places, names):
+            if draw(st.integers(0, 3)) == 0:
                 require = -1 if timed[p] else draw(st.integers(-1, 2))
-                inputs.append((f"p{p}", All(f"all{k}", require)))
-                all_places.add(p)
+                inputs.append((f"p{p}", All(name, require)))
             else:
-                inputs.append((f"p{p}", Var(draw(st.sampled_from("xyz")))))
-                var_places.add(p)
-        if not inputs:
-            inputs.append(("p0", Var("x")))
-        names = [pattern.name for _place, pattern in inputs]
+                inputs.append((f"p{p}", Var(name)))
         outputs = []
         for _ in range(draw(st.integers(0, 2))):
             q = draw(st.integers(0, n_places - 1))

@@ -144,26 +144,17 @@ class TestStreams:
     def test_same_path_same_sequence(self):
         # A stream is a pure function of its seed path.
         first, second = stream(1, 4, 2), stream(1, 4, 2)
-        a = [first.random() for _ in range(20)]
-        b = [second.random() for _ in range(20)]
+        a = [first.pick(1000) for _ in range(20)]
+        b = [second.pick(1000) for _ in range(20)]
         assert a == b
 
     def test_distinct_paths_decorrelate(self):
         def draws(*path):
             rng = stream(*path)
-            return [rng.random() for _ in range(20)]
+            return [rng.pick(1000) for _ in range(20)]
 
         a, b, c = draws(1, 0, 0), draws(1, 0, 1), draws(2, 0, 0)
         assert a != b and a != c and b != c
-
-    def test_child_extends_the_path(self):
-        parent = stream(7)
-        child = parent.child(3, 1)
-        assert child.label == "7:3:1"
-        direct = stream(7, 3, 1)
-        assert [child.random() for _ in range(10)] == [
-            direct.random() for _ in range(10)
-        ]
 
     def test_label_joins_path_with_colons(self):
         assert stream(1, 0, 29).label == "1:0:29"
