@@ -14,7 +14,6 @@ Subpackages and modules:
 """
 
 from cpnsim.engine import (
-    Binding,
     DeadMarking,
     Fired,
     Marking,
@@ -35,7 +34,6 @@ from cpnsim.stochastic import RngStream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Binding",
     "DeadMarking",
     "Fired",
     "Marking",

@@ -21,6 +21,7 @@ from cpnsim.experiment import (
     ExperimentPlan,
     emit_csv,
     emit_plotdata,
+    plotdata_path,
     run_experiment_detailed,
 )
 from cpnsim.monitors import write_records
@@ -73,6 +74,10 @@ def _node_counts(text: str) -> tuple[int, ...]:
             f"expected N, A-B, or a comma list of those, got {text!r}"
         ) from None
     return tuple(counts)
+
+
+def _records_path(out: Path, scene: str, scenario: str) -> Path:
+    return out / f"records_{scene}_{scenario}.tsv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +189,22 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"cannot create --out directory: {exc}")
+    summary = out / "summary.csv"
+    for target in [summary] + [
+        path(out, scene.label, scenario)
+        for scene in plan.scenes for scenario in plan.scenarios
+        for path in (plotdata_path, _records_path)
+    ]:
+        if target.exists() and not target.is_file():
+            parser.error(f"cannot write {target}: not a regular file")
     result = run_experiment_detailed(plan)
 
-    emit_csv(result.points, out / "summary.csv")
+    emit_csv(result.points, summary)
     emit_plotdata(result.points, out)
     for (scene, scenario), records in sorted(result.records.items()):
-        write_records(records, out / f"records_{scene}_{scenario}.tsv")
+        write_records(records, _records_path(out, scene, scenario))
 
-    print(f"wrote {out / 'summary.csv'}: {len(result.points)} sweep points, "
+    print(f"wrote {summary}: {len(result.points)} sweep points, "
           f"{len(result.aborted)} aborted replications, "
           f"{len(result.failed)} failed replications")
     for scene, scenario, nodes, rep in result.aborted:

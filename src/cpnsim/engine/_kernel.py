@@ -2,9 +2,10 @@
 
 ``cpnsim.engine`` re-exports the public functions of this module:
 ``step`` and ``run`` drive a simulation, ``enabled_bindings``, ``fire``
-and ``advance_time`` expose single moves of it.  A binding is enabled
-exactly when the enumeration lists it; ``fire`` checks a caller's
-binding against that list, so the firing rule is stated once.
+and ``advance_time`` expose single moves of it.  A binding is a
+transition and an assignment of its input variables; it is enabled
+exactly when the enumeration lists it, and ``fire`` checks a caller's
+assignment against that list, so the firing rule is stated once.
 
 The marking is ``state.store``: per place index, a list of
 ``(value, timestamp)`` pairs, one entry per token, in no particular
@@ -29,13 +30,14 @@ Determinism contract:
 * candidate tokens of a ``Var`` arc are the distinct *values* with at
   least one ready token, visited in sorted order, so bindings are
   enumerated lexicographically over (transition, token values);
-* firing consumes, per bound value, the ready token with the smallest
-  timestamp (the lowest list index among equal timestamps);
+* firing walks ``t.in_arcs``: a ``Var`` arc consumes the ready token
+  of its bound value with the smallest timestamp (the lowest list index
+  among equal timestamps), an ``All`` arc every ready token;
 * ``step`` draws one choice index from the state RNG only when two or
   more bindings are enabled.
 
 Enumeration is memoised per transition in ``state.cache``.  A memo
-holds the transition's enabled bindings at ``state.now`` and stays
+holds the transition's enabled assignments at ``state.now`` and stays
 valid until the ready tokens of one of its input places change: a
 firing clears the memos of the watchers of every place it took from or
 gave a ready token to.  ``step`` rebuilds the cleared memos, sums their
@@ -65,7 +67,6 @@ from itertools import product
 from cpnsim.engine.types import (
     ARC_ALL,
     ARC_VAR,
-    Binding,
     DeadMarking,
     FiringError,
     Fired,
@@ -102,86 +103,81 @@ def _gather_all(tokens, now):
     return tuple(sorted([value for value, ts in tokens if ts <= now]))
 
 
-def _transition_bindings(net, store, now, t_idx, out):
-    """Append enabled bindings of one transition to ``out``."""
+def _transition_bindings(net, store, now, t_idx):
+    """The enabled assignments of one transition, in enumeration order."""
     t = net.transitions[t_idx]
     in_arcs = t.in_arcs
     guard = t.guard
+    out = []
 
     if len(in_arcs) == 1 and in_arcs[0][1] == ARC_VAR:
         # One Var arc: each ready value is one binding, no product.
         pidx, _kind, name, _require = in_arcs[0]
-        if not store[pidx]:
-            return
-        for value in _ready_candidates(store[pidx], now):
-            assign = {name: value}
-            if guard is None or guard(assign):
-                out.append((t_idx, assign, ((pidx, ARC_VAR, value, 1),)))
-        return
+        if store[pidx]:
+            for value in _ready_candidates(store[pidx], now):
+                assign = {name: value}
+                if guard is None or guard(assign):
+                    out.append(assign)
+        return out
 
     if len(in_arcs) == 2:
         (p1, kind1, name1, _r1), (p2, kind2, name2, _r2) = in_arcs
         if kind1 == ARC_VAR == kind2:
             # Two Var arcs: the product of the two candidate lists, in
-            # the order and with the requirements of the general path.
+            # the order of the general path.
             if not store[p1] or not store[p2]:
-                return
+                return out
             first = _ready_candidates(store[p1], now)
             if not first:
-                return
+                return out
             second = _ready_candidates(store[p2], now)
             for v1 in first:
                 for v2 in second:
                     assign = {name1: v1, name2: v2}
                     if guard is None or guard(assign):
-                        out.append((t_idx, assign, (
-                            (p1, ARC_VAR, v1, 1), (p2, ARC_VAR, v2, 1))))
-            return
+                        out.append(assign)
+            return out
 
     for arc in in_arcs:
         pidx = arc[0]
         if arc[1] == ARC_ALL:
             if arc[3] >= 0 and len(store[pidx]) != arc[3]:
-                return
+                return out
         elif not store[pidx]:
-            return
+            return out
 
     # The All arcs' variables come first in every assignment, then the
-    # Var arcs' in arc order; requirements list the Var arcs first.
+    # Var arcs' in arc order.
     fixed = {}
-    all_reqs = []
-    var_places, var_names, candidates = [], [], []
+    var_names, candidates = [], []
     for pidx, kind, name, require in in_arcs:
         if kind == ARC_ALL:
             values = _gather_all(store[pidx], now)
             if require >= 0 and len(values) != require:
-                return
+                return out
             fixed[name] = values
-            all_reqs.append((pidx, ARC_ALL, values, len(values)))
         else:
             ready = _ready_candidates(store[pidx], now)
             if not ready:
-                return
-            var_places.append(pidx)
+                return out
             var_names.append(name)
             candidates.append(ready)
-    all_reqs = tuple(all_reqs)
 
     for values in product(*candidates):
         assign = dict(fixed)
         assign.update(zip(var_names, values))
         if guard is None or guard(assign):
-            out.append((t_idx, assign, tuple(
-                (pidx, ARC_VAR, value, 1)
-                for pidx, value in zip(var_places, values)) + all_reqs))
+            out.append(assign)
+    return out
 
 
 def enumerate_bindings(net, store, now):
-    """Every enabled (transition index, assignment, requirements) triple."""
-    out = []
-    for t_idx in range(len(net.transitions)):
-        _transition_bindings(net, store, now, t_idx, out)
-    return out
+    """Every enabled (transition index, assignment) pair."""
+    return [
+        (t_idx, assign)
+        for t_idx in range(len(net.transitions))
+        for assign in _transition_bindings(net, store, now, t_idx)
+    ]
 
 
 def _remove_value(tokens, value, now):
@@ -215,18 +211,18 @@ def _remove_all_ready(tokens, expected, now):
     tokens[:] = pending
 
 
-def apply_binding(net, state, t_idx, assign, requirements):
+def apply_binding(net, state, t_idx, assign):
     """Fire without re-validation (caller guarantees enabledness)."""
     store = state.store
     now = state.now
     t = net.transitions[t_idx]
     dirty = set()
 
-    for pidx, kind, value, count in requirements:
+    for pidx, kind, name, _require in t.in_arcs:
         if kind == ARC_VAR:
-            _remove_value(store[pidx], value, now)
+            _remove_value(store[pidx], assign[name], now)
         else:
-            _remove_all_ready(store[pidx], count, now)
+            _remove_all_ready(store[pidx], len(assign[name]), now)
         dirty.add(pidx)
 
     checks = net.colour_checks
@@ -274,8 +270,8 @@ def _refresh_memos(net, state):
     n = 0
     for t_idx, memo in enumerate(cache):
         if memo is None:
-            memo = cache[t_idx] = []
-            _transition_bindings(net, state.store, state.now, t_idx, memo)
+            memo = cache[t_idx] = _transition_bindings(
+                net, state.store, state.now, t_idx)
         n += len(memo)
     return n
 
@@ -289,15 +285,13 @@ def step(net, state):
     n = _refresh_memos(net, state)
     if n:
         k = state.rng.pick(n) if n > 1 else 0
-        for memo in state.cache:
+        for t_idx, memo in enumerate(state.cache):
             if k < len(memo):
                 break
             k -= len(memo)
-        t_idx, assign, requirements = memo[k]
-        apply_binding(net, state, t_idx, assign, requirements)
-        return Fired(
-            net.transitions[t_idx].name, Binding(assign, requirements), state.now
-        )
+        assign = memo[k]
+        apply_binding(net, state, t_idx, assign)
+        return Fired(net.transitions[t_idx].name, assign, state.now)
     previous = state.now
     calendar = state.calendar
     cache = state.cache
@@ -354,33 +348,31 @@ def kernel_name():
 
 
 def enabled_bindings(net, state):
-    """Every enabled (transition name, binding), in enumeration order."""
-    raw = enumerate_bindings(net, state.store, state.now)
+    """Every enabled (transition name, assignment), in enumeration order."""
     return [
-        (net.transitions[t_idx].name, Binding(assign, reqs))
-        for t_idx, assign, reqs in raw
+        (net.transitions[t_idx].name, assign)
+        for t_idx, assign in enumerate_bindings(net, state.store, state.now)
     ]
 
 
-def fire(net, state, transition, binding):
+def fire(net, state, transition, assignment):
     """Fire a binding that :func:`enabled_bindings` lists right now.
 
-    Raises :class:`FiringError` unless ``binding`` (its assignment and
-    its requirements) is one of the transition's enabled bindings at
-    ``state.now``.  Mutates and returns ``state``.
+    Raises :class:`FiringError` unless ``assignment`` is one of the
+    transition's enabled assignments at ``state.now``.  Mutates and
+    returns ``state``.
     """
     try:
         t_idx = net.transition_index[transition]
     except KeyError:
         raise FiringError(f"unknown transition {transition}") from None
-    enabled = []
-    _transition_bindings(net, state.store, state.now, t_idx, enabled)
-    if (t_idx, binding.assignment, binding.requirements) not in enabled:
+    if assignment not in _transition_bindings(
+            net, state.store, state.now, t_idx):
         raise FiringError(
             f"{transition} is not enabled with the binding "
-            f"{binding.assignment!r} at time {state.now}"
+            f"{assignment!r} at time {state.now}"
         )
-    apply_binding(net, state, t_idx, binding.assignment, binding.requirements)
+    apply_binding(net, state, t_idx, assignment)
     return state
 
 

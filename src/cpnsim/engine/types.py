@@ -148,11 +148,12 @@ InputPattern = Var | All
 class OutputArc:
     """Produces one token per firing.
 
-    ``expr(binding, state)`` yields the token value; ``delay`` is either
-    an int or ``delay(binding, state)`` yielding milliseconds.  The
-    produced token's timestamp is ``state.now + delay`` on timed places;
-    untimed target places require delay 0.  All randomness must live in
-    ``expr``/``delay`` (via ``state.rng``), never in guards.
+    ``expr(assignment, state)`` yields the token value; ``delay`` is
+    either an int or ``delay(assignment, state)`` yielding milliseconds.
+    The produced token's timestamp is ``state.now + delay`` on timed
+    places; untimed target places require the constant delay 0.  All
+    randomness must live in ``expr``/``delay`` (via ``state.rng``),
+    never in guards.
     """
 
     place: str
@@ -257,7 +258,7 @@ class Net:
         for arc in spec.outputs:
             idx = self._place_idx(spec.name, arc.place)
             timed = self.places[idx].timed
-            if not timed and arc.delay != 0 and not callable(arc.delay):
+            if not timed and (callable(arc.delay) or arc.delay != 0):
                 raise ModelStructureError(
                     f"transition {spec.name}: delay on untimed place {arc.place}"
                 )
@@ -427,21 +428,9 @@ class Marking:
 # Simulation state and events
 # ---------------------------------------------------------------------------
 
-class Binding(NamedTuple):
-    """An enabled variable assignment plus the tokens it would consume.
-
-    ``requirements`` holds ``(place_idx, kind, value, count)`` records;
-    for a ``Var`` arc the count is 1, for an ``All`` arc the value is
-    the bound tuple and the count its length.
-    """
-
-    assignment: dict
-    requirements: tuple
-
-
 class Fired(NamedTuple):
     transition: str
-    binding: Binding
+    assignment: dict
     time: int
 
 
@@ -486,7 +475,7 @@ class SimState:
         self.now: int = now
         self.rng = rng
         self.step_count: int = 0
-        # Per-transition memo of enabled bindings; None means stale.
+        # Per-transition memo of enabled assignments; None means stale.
         # Maintained by the kernel, keyed to (store, now) mutations, so
         # states must only be mutated through the engine API.
         self.cache: list = [None] * len(net.transitions)

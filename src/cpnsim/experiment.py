@@ -265,6 +265,11 @@ def read_csv(path) -> list[SweepPoint]:
     return points
 
 
+def plotdata_path(out_dir, scene, scenario) -> Path:
+    """The file :func:`emit_plotdata` writes a (scene, scenario) series to."""
+    return Path(out_dir) / f"{scene}_{scenario}.dat"
+
+
 def emit_plotdata(points, out_dir) -> list[Path]:
     """One <scene>_<scenario>.dat series per (scene, scenario).
 
@@ -279,7 +284,7 @@ def emit_plotdata(points, out_dir) -> list[Path]:
         series.setdefault((p.scene, p.scenario), []).append(p)
     written = []
     for (scene, scenario) in sorted(series):
-        path = out / f"{scene}_{scenario}.dat"
+        path = plotdata_path(out, scene, scenario)
         lines = ["# nodes seconds"]
         for p in sorted(series[(scene, scenario)], key=lambda p: p.nodes):
             if p.replications:

@@ -69,7 +69,7 @@ class SceneMonitor:
             self._failures += 1
         elif name == "sendScene":
             self._start_ms = event.time
-            self._complexity = event.binding.assignment["cmpl"]
+            self._complexity = event.assignment["cmpl"]
             self._peak_busy = self._busy
             self._failures = 0
         elif name == "completeScene":

@@ -99,7 +99,7 @@ class RaytraceInvariantHook:
         if type(event) is Fired:
             if event.transition == "sendScene":
                 self.in_scene = True
-                self.scene_complexity = event.binding.assignment["cmpl"]
+                self.scene_complexity = event.assignment["cmpl"]
             elif event.transition == "completeScene":
                 # Conservation is scoped up to, not past, this firing:
                 # it just drained computedTiles into nothing.

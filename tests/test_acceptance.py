@@ -88,8 +88,7 @@ class TestAcceptance:
             marking = guard_net_marking(net, [1] + [2] * 7, [1] * 4)
             state = SimState(net, marking, RngStream(1))
             found = enabled_bindings(net, state)
-            assert [(n, b.assignment) for n, b in found] == [
-                ("tt", {"x": 2, "y": 1})]
+            assert found == [("tt", {"x": 2, "y": 1})]
             fire(net, state, *found[0])
             assert state.tokens("p1") == [(1, None, 1), (2, None, 6)]
             assert state.tokens("p2") == [(1, None, 3)]

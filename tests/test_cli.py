@@ -117,6 +117,22 @@ class TestParsing:
         assert exc.value.code == 2
         assert "error: cannot create --out directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [
+        "summary.csv", "4000x3000_ideal.dat", "records_4000x3000_ideal.tsv"])
+    def test_output_file_that_is_a_directory_fails_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, name):
+        def no_sweep(plan):
+            raise AssertionError("the sweep ran before the outputs were checked")
+
+        monkeypatch.setattr(cli, "run_experiment_detailed", no_sweep)
+        (tmp_path / name).mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["--scene", "4000x3000", "--nodes", "1", "--scenario", "ideal",
+                  "--replications", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / name}: not a regular file" in err
+
     def test_tile_flag_changes_the_grid(self):
         plan = parse_plan(["--scene", "4000x3000", "--tile", "2000x1500"])
         assert plan.scenes[0].tile_count == 4

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from cpnsim.engine import (
     All,
-    Binding,
     DeadMarking,
     Fired,
     FiringError,
@@ -23,6 +22,7 @@ from cpnsim.engine import (
     advance_time,
     enabled_bindings,
     fire,
+    list_set,
     run,
     step,
 )
@@ -88,10 +88,7 @@ class TestEnabledBindings:
         marking = guard_net_marking(guard_net, [1] + [2] * 7, [1] * 4)
         state = state_of(guard_net, marking)
         found = enabled_bindings(guard_net, state)
-        assert len(found) == 1
-        name, binding = found[0]
-        assert name == "tt"
-        assert binding.assignment == {"x": 2, "y": 1}
+        assert found == [("tt", {"x": 2, "y": 1})]
 
     def test_empty_marking_nothing_enabled(self, guard_net):
         state = state_of(guard_net, Marking.empty(guard_net))
@@ -116,7 +113,7 @@ class TestEnabledBindings:
                      outputs=[OutputArc("out", lambda v, s: v["x"])])
         net = b.build()
         state = state_of(net, Marking.empty(net).add_tokens("a", [3, 1, 2]))
-        values = [bd.assignment["x"] for _, bd in enabled_bindings(net, state)]
+        values = [a["x"] for _, a in enabled_bindings(net, state)]
         assert values == [1, 2, 3]
 
     def test_pending_tokens_are_not_ready(self):
@@ -176,32 +173,43 @@ class TestFire:
     def test_guard_rejecting_binding_raises(self, guard_net):
         marking = guard_net_marking(guard_net, [1], [1])
         state = state_of(guard_net, marking)
-        ok = guard_net_marking(guard_net, [2], [1])
-        good = enabled_bindings(guard_net, state_of(guard_net, ok))[0][1]
-        bad = good._replace(assignment={"x": 1, "y": 1})
         with pytest.raises(FiringError):
-            fire(guard_net, state, "tt", bad)
+            fire(guard_net, state, "tt", {"x": 1, "y": 1})
 
-    # Bindings the enumeration does not list: no requirements at all
-    # (a token from nothing), and the requirements of the enabled x=2
-    # binding under the assignment x=50 (consume a 2, produce 51).
-    @pytest.mark.parametrize("p1, p2, assignment, take_enabled_requirements", [
-        ([2], [1], {"x": 2, "y": 1}, False),
-        ([], [], {"x": 2, "y": 1}, False),
-        ([2, 9], [1], {"x": 50, "y": 1}, True),
-    ], ids=["no-requirements", "empty-marking", "assignment-off-its-tokens"])
+    # Assignments the enumeration does not list: one on an empty
+    # marking (a token from nothing), and x=50 while x=2 is enabled.
+    @pytest.mark.parametrize("p1, p2, assignment", [
+        ([], [], {"x": 2, "y": 1}),
+        ([2, 9], [1], {"x": 50, "y": 1}),
+    ], ids=["empty-marking", "assignment-off-its-tokens"])
     def test_binding_not_enumerated_is_rejected(self, guard_net, p1, p2,
-                                                assignment,
-                                                take_enabled_requirements):
+                                                assignment):
         state = state_of(guard_net, guard_net_marking(guard_net, p1, p2))
-        requirements = ()
-        if take_enabled_requirements:
-            requirements = enabled_bindings(guard_net, state)[0][1].requirements
         before = ([list(tokens) for tokens in state.store],
                   state.step_count, list(state.calendar))
         with pytest.raises(FiringError):
-            fire(guard_net, state, "tt", Binding(assignment, requirements))
+            fire(guard_net, state, "tt", assignment)
         assert (state.store, state.step_count, state.calendar) == before
+
+    # A bound value equal to, but not the same object as, the token's:
+    # on a place of one token and on a place of several.
+    @pytest.mark.parametrize("tokens, left", [
+        ([(1, 2)], []),
+        ([(3,), (1, 2), (1, 2)], [((1, 2), None, 1), ((3,), None, 1)]),
+    ], ids=["one-token", "several-tokens"])
+    def test_consumption_matches_values_by_equality(self, tokens, left):
+        b = NetBuilder()
+        b.place("a", list_set("L", INT_SET))
+        b.place("out", INT_SET)
+        b.transition("t", inputs=[("a", Var("xs"))],
+                     outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])
+        net = b.build()
+        state = state_of(net, Marking.empty(net).add_tokens("a", tokens))
+        equal = tuple([1, 2])
+        assert all(value is not equal for value, _ts in state.store[0])
+        fire(net, state, "t", {"xs": equal})
+        assert state.tokens("a") == left
+        assert state.tokens("out") == [(2, None, 1)]
 
     def test_oldest_ready_token_consumed_first(self):
         b = NetBuilder()
@@ -280,7 +288,7 @@ class TestStepAndRun:
         event = step(guard_net, state)
         assert type(event) is Fired
         assert event.transition == "tt"
-        assert event.binding.assignment == {"x": 2, "y": 1}
+        assert event.assignment == {"x": 2, "y": 1}
 
     def test_step_advances_time_when_nothing_enabled(self):
         net, marking = build_delay_net(with_consumer=True)
@@ -313,7 +321,7 @@ class TestStepAndRun:
         for seed in range(12):
             state = state_of(guard_net, marking, seed=seed)
             event = step(guard_net, state)
-            first.add(event.binding.assignment["x"])
+            first.add(event.assignment["x"])
         assert first == {2, 3}
 
     def test_run_until_dead_exhausts_guard_net(self, guard_net):
@@ -411,9 +419,9 @@ class TestAllArc:
     def test_binds_whole_population_with_multiplicity(self):
         net = self.collector_net(require=-1)
         state = state_of(net, Marking.empty(net).add_tokens("pool", [2, 1, 2]))
-        [(_, binding)] = enabled_bindings(net, state)
-        assert binding.assignment["xs"] == (1, 2, 2)
-        fire(net, state, "collect", binding)
+        [(_, assignment)] = enabled_bindings(net, state)
+        assert assignment["xs"] == (1, 2, 2)
+        fire(net, state, "collect", assignment)
         assert state.tokens("pool") == []
         assert state.tokens("out") == [(5, None, 1)]
 
@@ -423,8 +431,8 @@ class TestAllArc:
         state = state_of(net, marking)
         assert enabled_bindings(net, state) == []
         state = state_of(net, marking.add_tokens("pool", [3]))
-        [(_, binding)] = enabled_bindings(net, state)
-        assert binding.assignment["xs"] == (1, 2, 3)
+        [(_, assignment)] = enabled_bindings(net, state)
+        assert assignment["xs"] == (1, 2, 3)
 
     def test_require_on_timed_place_rejected(self):
         b = NetBuilder()
@@ -438,8 +446,8 @@ class TestAllArc:
     def test_empty_population_without_require_is_enabled(self):
         net = self.collector_net(require=-1)
         state = state_of(net, Marking.empty(net))
-        [(_, binding)] = enabled_bindings(net, state)
-        assert binding.assignment["xs"] == ()
+        [(_, assignment)] = enabled_bindings(net, state)
+        assert assignment["xs"] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +478,15 @@ class TestNetValidation:
             b.build()
 
     def test_constant_delay_to_untimed_place_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("b", INT_SET)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("b", lambda v, s: v["x"], delay=5)])
-        with pytest.raises(ModelStructureError):
-            b.build()
+        # A delay function on an untimed place would never be called.
+        for delay in (5, lambda v, s: 5):
+            b = NetBuilder()
+            b.place("a", INT_SET)
+            b.place("b", INT_SET)
+            b.transition("t", inputs=[("a", Var("x"))],
+                         outputs=[OutputArc("b", lambda v, s: v["x"], delay)])
+            with pytest.raises(ModelStructureError):
+                b.build()
 
     def test_produced_value_outside_colour_set_rejected(self):
         b = NetBuilder()

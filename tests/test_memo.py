@@ -34,7 +34,6 @@ from cpnsim.engine import (
     run,
     step,
 )
-from cpnsim.engine.types import ARC_VAR
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream, uniform_int
 
@@ -46,7 +45,8 @@ TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 def check_state(net, state):
     """The memos and the calendar agree with the marking."""
     n = _kernel._refresh_memos(net, state)
-    memos = [binding for memo in state.cache for binding in memo]
+    memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
+             for assign in memo]
     assert len(memos) == n
     assert memos == _kernel.enumerate_bindings(net, state.store, state.now)
     assert set(state.calendar) == {
@@ -205,13 +205,11 @@ class TestStepReadsTheMemos:
             for values in itertools.product(*candidates):
                 assign = dict(zip(names, values))
                 if t.guard(assign):
-                    expected.append((t_idx, assign, tuple(
-                        (pidx, ARC_VAR, value, 1)
-                        for pidx, value in zip(places, values))))
+                    expected.append((t_idx, assign))
         got = _kernel.enumerate_bindings(net, store, now)
         assert got == expected
-        assert [list(a.items()) for _t, a, _r in got] == [
-            list(a.items()) for _t, a, _r in expected]
+        assert [list(a.items()) for _t, a in got] == [
+            list(a.items()) for _t, a in expected]
         assert len(got) == 2 * 6  # 3 x 3 ready pairs, 3 of them rejected
 
 
