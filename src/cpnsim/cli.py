@@ -207,9 +207,9 @@ def main(argv=None) -> int:
     print(f"wrote {summary}: {len(result.points)} sweep points, "
           f"{len(result.aborted)} aborted replications, "
           f"{len(result.failed)} failed replications")
-    for scene, scenario, nodes, rep in result.aborted:
-        print(f"  aborted: scene={scene} scenario={scenario} "
-              f"nodes={nodes} rep={rep}", file=sys.stderr)
+    for a in result.aborted:
+        print(f"  aborted: scene={a.scene} scenario={a.scenario} nodes={a.nodes} "
+              f"seed={a.seed}", file=sys.stderr)
     for f in result.failed:
         print(f"  failed: scene={f.scene} scenario={f.scenario} nodes={f.nodes} "
               f"seed={f.seed}: {f.error}", file=sys.stderr)

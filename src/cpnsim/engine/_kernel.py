@@ -8,21 +8,36 @@ exactly when the enumeration lists it, and ``fire`` checks a caller's
 assignment against that list, so the firing rule is stated once.
 
 The marking is ``state.store``: per place index, a list of
-``(value, timestamp)`` pairs, one entry per token, in no particular
-order.  A firing appends the tokens it produces and deletes the ones
-it consumes; a place's token count is the length of its list.  No
+``(value, timestamp)`` pairs, one entry per token.  An untimed place
+keeps its tokens in arrival order; a timed place keeps them sorted by
+timestamp, in arrival order among equal timestamps, so its ready
+tokens are a prefix found by bisection.  A firing adds the tokens it
+produces (appended, or inserted at their timestamp) and deletes the
+ones it consumes; a place's token count is the length of its list.  No
 token value is ever hashed: candidates are found by sorting a place's
 ready values and grouping equal neighbours, and consumed tokens by
 comparing values.  A place of one token, such as the raytracing
-model's work list, skips both: its candidate is that token if ready,
-and consuming it empties the list.
+model's work list, needs no sort.
 
-Every input arc of a transition has its own place and its own variable
-(``Net`` rejects anything else), so a transition's bindings are the
-plain product of its ``Var`` arcs' candidate values, with the ``All``
-arcs' tuples, filtered by the guard.  Two shapes skip the general
-product and list the same bindings in the same order: one ``Var`` arc
-(a plain loop) and two ``Var`` arcs (a plain double loop).
+Every transition is compiled once, when its ``Net`` is built
+(:func:`compile_transition`), into two plain functions that
+``step``, ``enumerate_bindings``, ``enabled_bindings``, ``fire`` and
+``advance_time`` all call, so there is one firing rule:
+
+* ``bindings(store, now)`` lists the enabled assignments.  Every input
+  arc has its own place and its own variable (``Net`` rejects anything
+  else), so they are the plain product of the ``Var`` arcs' candidate
+  values, with the ``All`` arcs' tuples, filtered by the guard.  The
+  build picks one of three shapes: one ``Var`` arc (a plain loop), two
+  ``Var`` arcs (a double loop) or the general product; all three list
+  the same bindings in the same order.
+* ``fire(state, assignment)`` first evaluates every output arc, in arc
+  order ``expr`` then ``delay``, with its colour and negative-delay
+  checks, and only then consumes the inputs and adds the outputs.  A
+  firing that raises, whether in a check or in an arc expression,
+  leaves the marking, ``step_count``, the calendar and the memos as
+  they were.  Each output's colour check, timedness and constant or
+  function delay are fixed at build time.
 
 Determinism contract:
 
@@ -30,20 +45,25 @@ Determinism contract:
 * candidate tokens of a ``Var`` arc are the distinct *values* with at
   least one ready token, visited in sorted order, so bindings are
   enumerated lexicographically over (transition, token values);
-* firing walks ``t.in_arcs``: a ``Var`` arc consumes the ready token
-  of its bound value with the smallest timestamp (the lowest list index
-  among equal timestamps), an ``All`` arc every ready token;
+* firing follows the transition's input arcs: a ``Var`` arc consumes
+  the ready token of its bound value with the smallest timestamp (the
+  earliest arrival among equal timestamps), an ``All`` arc every ready
+  token;
 * ``step`` draws one choice index from the state RNG only when two or
   more bindings are enabled.
 
 Enumeration is memoised per transition in ``state.cache``.  A memo
-holds the transition's enabled assignments at ``state.now`` and stays
-valid until the ready tokens of one of its input places change: a
-firing clears the memos of the watchers of every place it took from or
-gave a ready token to.  ``step`` rebuilds the cleared memos, sums their
-lengths to get the number ``n`` of enabled bindings, draws ``k`` and
-walks the memos in transition order to the ``k``-th binding; it builds
-no list of all bindings.
+holds the transition's enabled assignments at ``state.now``, ``None``
+when stale, and stays valid until the ready tokens of one of its input
+places change.  Each compiled ``fire`` holds a tuple, fixed at build
+time, of the memos it clears on every firing: those of the watchers of
+its input places, of its untimed output places and of its timed output
+places with constant delay 0.  Only a delay function that returns 0
+clears more, its place's watchers, at run time; a token stamped later
+changes nothing until the calendar reaches it.  ``step`` rebuilds the
+cleared memos, sums their lengths to get the number ``n`` of enabled
+bindings, draws ``k`` and walks the memos in transition order to the
+``k``-th binding; it builds no list of all bindings.
 
 Time advance runs off the event calendar ``state.calendar``, a min-heap
 of ``(timestamp, place index)`` entries for the tokens stamped later
@@ -60,35 +80,38 @@ clock and the calendar are put back, and the memos, all empty, are
 what enumeration at the old time gives too.
 """
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from heapq import heappop, heappush
+from functools import partial
 from itertools import product
+from operator import itemgetter
 
 from cpnsim.engine.types import (
-    ARC_ALL,
-    ARC_VAR,
+    All,
     DeadMarking,
     FiringError,
     Fired,
     ModelStructureError,
     StepLimitExceeded,
     TimeAdvanced,
+    Var,
+    _CompiledTransition,
+    _stamp,
 )
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
+_value = itemgetter(0)
+# ``Fired((...))`` without the Python-level ``__new__`` of a NamedTuple.
+_fired = partial(tuple.__new__, Fired)
 
-def _ready_candidates(tokens, now):
-    """The distinct ready values, sorted.
+
+def _distinct(values):
+    """The distinct values of a sorted list.
 
     Equal values (one value at several timestamps, or repeated tokens)
-    form one run after the sort, skipped by bisection, so no token value
-    is hashed.  A place of one token needs no sort.
+    form one run, skipped by bisection, so no token value is hashed.
     """
-    if len(tokens) == 1:
-        value, ts = tokens[0]
-        return [value] if ts <= now else []
-    values = sorted([value for value, ts in tokens if ts <= now])
     distinct = []
     i, n = 0, len(values)
     while i < n:
@@ -98,109 +121,144 @@ def _ready_candidates(tokens, now):
     return distinct
 
 
+def _ready_candidates(tokens, now):
+    """The distinct ready values of a timed place, sorted.
+
+    The place is sorted by timestamp, so its ready tokens are the
+    prefix that bisection finds; one ready token needs no sort.
+    """
+    i = bisect_right(tokens, now, key=_stamp)
+    if i < 2:
+        return [tokens[0][0]] if i else []
+    return _distinct(sorted(map(_value, tokens[:i])))
+
+
+def _untimed_candidates(tokens, now):
+    """The distinct values of an untimed place, sorted: all are ready."""
+    if len(tokens) == 1:
+        return [tokens[0][0]]
+    return _distinct(sorted(map(_value, tokens)))
+
+
 def _gather_all(tokens, now):
     """All ready values (with multiplicity), sorted."""
     return tuple(sorted([value for value, ts in tokens if ts <= now]))
 
 
-def _transition_bindings(net, store, now, t_idx):
-    """The enabled assignments of one transition, in enumeration order."""
-    t = net.transitions[t_idx]
-    in_arcs = t.in_arcs
-    guard = t.guard
-    out = []
+def _var_bindings(arc, guard):
+    """One ``Var`` arc: each ready value is one binding, no product."""
+    p, name, candidates = arc
 
-    if len(in_arcs) == 1 and in_arcs[0][1] == ARC_VAR:
-        # One Var arc: each ready value is one binding, no product.
-        pidx, _kind, name, _require = in_arcs[0]
-        if store[pidx]:
-            for value in _ready_candidates(store[pidx], now):
-                assign = {name: value}
+    def bindings(store, now):
+        tokens = store[p]
+        if not tokens:
+            return []
+        if len(tokens) == 1:
+            value, ts = tokens[0]
+            if ts > now:
+                return []
+            assign = {name: value}
+            return [assign] if guard is None or guard(assign) else []
+        out = []
+        for value in candidates(tokens, now):
+            assign = {name: value}
+            if guard is None or guard(assign):
+                out.append(assign)
+        return out
+
+    return bindings
+
+
+def _var_pair_bindings(arc1, arc2, guard):
+    """Two ``Var`` arcs: the product of the two candidate lists, as a
+    double loop in the order of the general product."""
+    p1, name1, candidates1 = arc1
+    p2, name2, candidates2 = arc2
+
+    def bindings(store, now):
+        tokens1, tokens2 = store[p1], store[p2]
+        if not tokens1 or not tokens2:
+            return []
+        first = candidates1(tokens1, now)
+        if not first:
+            return []
+        second = candidates2(tokens2, now)
+        out = []
+        for v1 in first:
+            for v2 in second:
+                assign = {name1: v1, name2: v2}
                 if guard is None or guard(assign):
                     out.append(assign)
         return out
 
-    if len(in_arcs) == 2:
-        (p1, kind1, name1, _r1), (p2, kind2, name2, _r2) = in_arcs
-        if kind1 == ARC_VAR == kind2:
-            # Two Var arcs: the product of the two candidate lists, in
-            # the order of the general path.
-            if not store[p1] or not store[p2]:
-                return out
-            first = _ready_candidates(store[p1], now)
-            if not first:
-                return out
-            second = _ready_candidates(store[p2], now)
-            for v1 in first:
-                for v2 in second:
-                    assign = {name1: v1, name2: v2}
-                    if guard is None or guard(assign):
-                        out.append(assign)
-            return out
+    return bindings
 
-    for arc in in_arcs:
-        pidx = arc[0]
-        if arc[1] == ARC_ALL:
-            if arc[3] >= 0 and len(store[pidx]) != arc[3]:
-                return out
-        elif not store[pidx]:
-            return out
 
-    # The All arcs' variables come first in every assignment, then the
-    # Var arcs' in arc order.
-    fixed = {}
-    var_names, candidates = [], []
-    for pidx, kind, name, require in in_arcs:
-        if kind == ARC_ALL:
-            values = _gather_all(store[pidx], now)
-            if require >= 0 and len(values) != require:
-                return out
-            fixed[name] = values
-        else:
-            ready = _ready_candidates(store[pidx], now)
+def _product_bindings(var_arcs, all_arcs, guard):
+    """The general product of the ``Var`` arcs' candidates and the
+    ``All`` arcs' tuples.
+
+    The ``All`` arcs' variables come first in every assignment, then the
+    ``Var`` arcs' in arc order.  An exact-count ``All`` arc sits on an
+    untimed place (``Net`` checks this), so its whole population is
+    ready and a count test decides it.
+    """
+    var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
+    var_names = tuple(name for _p, name, _candidates in var_arcs)
+    counted = tuple((p, require) for p, _name, require in all_arcs
+                    if require >= 0)
+
+    def bindings(store, now):
+        for p, require in counted:
+            if len(store[p]) != require:
+                return []
+        for p, _name, _candidates in var_arcs:
+            if not store[p]:
+                return []
+        fixed = {name: _gather_all(store[p], now) for p, name, _r in all_arcs}
+        lists = []
+        for p, _name, candidates in var_arcs:
+            ready = candidates(store[p], now)
             if not ready:
-                return out
-            var_names.append(name)
-            candidates.append(ready)
+                return []
+            lists.append(ready)
+        out = []
+        for values in product(*lists):
+            assign = dict(fixed)
+            assign.update(zip(var_names, values))
+            if guard is None or guard(assign):
+                out.append(assign)
+        return out
 
-    for values in product(*candidates):
-        assign = dict(fixed)
-        assign.update(zip(var_names, values))
-        if guard is None or guard(assign):
-            out.append(assign)
-    return out
-
-
-def enumerate_bindings(net, store, now):
-    """Every enabled (transition index, assignment) pair."""
-    return [
-        (t_idx, assign)
-        for t_idx in range(len(net.transitions))
-        for assign in _transition_bindings(net, store, now, t_idx)
-    ]
+    return bindings
 
 
 def _remove_value(tokens, value, now):
     """Remove the ready token of ``value`` with the smallest timestamp.
 
-    Among equal timestamps the token with the lowest list index goes.
-    The bound value is normally the very object enumeration read from
-    this place, so identity is tested first: a large value, such as a
-    long list token, is then not compared with itself element by element.
-    A place of one token is emptied without a scan.
+    The place is sorted by timestamp, in arrival order among equal
+    ones, so that is the first equal token, and the scan ends at the
+    first pending token.  The bound value is the very object enumeration
+    read from this place, so identity is tested first: a large value,
+    such as a long list token, is then not compared with itself element
+    by element.
     """
-    if len(tokens) == 1:
-        v, ts = tokens[0]
-        assert ts <= now and (v is value or v == value), (
-            "no ready token for a bound value")
-        tokens.clear()
-        return
-    ready = [
-        (ts, i) for i, (v, ts) in enumerate(tokens)
-        if ts <= now and (v is value or v == value)
-    ]
-    assert ready, "no ready token for a bound value"
-    del tokens[min(ready)[1]]
+    for i, (v, ts) in enumerate(tokens):
+        if ts > now:
+            break
+        if v is value or v == value:
+            del tokens[i]
+            return
+    raise AssertionError("no ready token for a bound value")
+
+
+def _remove_untimed(tokens, value, now):
+    """Remove the first token of ``value`` from an untimed place.
+
+    Every timestamp there is 0, so the first equal token is the oldest
+    one; ``list.index`` tests identity before equality, as above.
+    """
+    del tokens[tokens.index((value, 0))]
 
 
 def _remove_all_ready(tokens, expected, now):
@@ -211,52 +269,130 @@ def _remove_all_ready(tokens, expected, now):
     tokens[:] = pending
 
 
-def apply_binding(net, state, t_idx, assign):
-    """Fire without re-validation (caller guarantees enabledness)."""
-    store = state.store
-    now = state.now
-    t = net.transitions[t_idx]
-    dirty = set()
+def _outside(t_name, place, value):
+    return ModelStructureError(
+        f"transition {t_name} produced {value!r}, outside the colour set "
+        f"of place {place.name}"
+    )
 
-    for pidx, kind, name, _require in t.in_arcs:
-        if kind == ARC_VAR:
-            _remove_value(store[pidx], assign[name], now)
-        else:
-            _remove_all_ready(store[pidx], len(assign[name]), now)
-        dirty.add(pidx)
 
-    checks = net.colour_checks
-    for pidx, timed, expr, delay in t.out_arcs:
-        value = expr(assign, state)
-        if not checks[pidx](value):
-            raise ModelStructureError(
-                f"transition {t.name} produced {value!r}, outside the colour "
-                f"set of place {net.places[pidx].name}"
-            )
-        if timed:
-            d = delay(assign, state) if callable(delay) else delay
+def _emitter(t_name, place, arc):
+    """``emit(assign, state, now) -> (value, timestamp)`` for one output arc.
+
+    The colour check, the place's timedness and the delay's form are
+    fixed here.  ``emit`` changes nothing; it raises
+    :class:`ModelStructureError` for a value outside the colour set or a
+    negative delay.
+    """
+    expr, delay = arc.expr, arc.delay
+    check = place.colour.quick
+
+    if callable(delay):
+        def emit(assign, state, now):
+            value = expr(assign, state)
+            if not check(value):
+                raise _outside(t_name, place, value)
+            d = delay(assign, state)
             if d < 0:
                 raise ModelStructureError(
-                    f"transition {t.name} produced a negative delay {d}"
+                    f"transition {t_name} produced a negative delay {d}"
                 )
-            tok = (value, now + d)
-            if d == 0:
-                dirty.add(pidx)
-            else:
-                heappush(state.calendar, (now + d, pidx))
-        else:
-            tok = (value, 0)
-            dirty.add(pidx)
-        store[pidx].append(tok)
-    state.step_count += 1
+            return value, now + d
+    elif place.timed:
+        def emit(assign, state, now):
+            value = expr(assign, state)
+            if not check(value):
+                raise _outside(t_name, place, value)
+            return value, now + delay
+    else:
+        def emit(assign, state, now):
+            value = expr(assign, state)
+            if not check(value):
+                raise _outside(t_name, place, value)
+            return value, 0
+    return emit
 
-    # Only places whose ready tokens changed can alter enabledness;
-    # tokens produced with a future timestamp change nothing yet.
-    cache = state.cache
-    watchers = net.place_watchers
-    for pidx in dirty:
-        for w in watchers[pidx]:
+
+def compile_transition(net, spec, in_arcs, out_arcs):
+    """The transition's ``bindings`` and ``fire`` functions.
+
+    ``in_arcs`` holds ``(place index, Var or All)`` and ``out_arcs``
+    ``(place index, OutputArc)`` pairs, checked by ``Net``, whose
+    ``place_watchers`` must already be set.  Each place's timedness
+    picks how its candidates are found and its tokens removed.
+    """
+    places, watchers = net.places, net.place_watchers
+    # The memos every firing clears; see the module docstring.
+    cleared = set()
+    var_arcs, removals, all_arcs = [], [], []
+    for p, pattern in in_arcs:
+        cleared.update(watchers[p])
+        if type(pattern) is All:
+            all_arcs.append((p, pattern.name, pattern.require))
+        elif places[p].timed:
+            var_arcs.append((p, pattern.name, _ready_candidates))
+            removals.append((p, pattern.name, _remove_value))
+        else:
+            var_arcs.append((p, pattern.name, _untimed_candidates))
+            removals.append((p, pattern.name, _remove_untimed))
+    if not all_arcs and len(var_arcs) == 1:
+        bindings = _var_bindings(var_arcs[0], spec.guard)
+    elif not all_arcs and len(var_arcs) == 2:
+        bindings = _var_pair_bindings(*var_arcs, spec.guard)
+    else:
+        bindings = _product_bindings(var_arcs, all_arcs, spec.guard)
+
+    emits, targets = [], []
+    for p, arc in out_arcs:
+        emits.append(_emitter(spec.name, places[p], arc))
+        if callable(arc.delay):
+            # Cleared at run time, only when the delay is 0.
+            targets.append((p, True, watchers[p]))
+        else:
+            if arc.delay == 0:
+                cleared.update(watchers[p])
+            targets.append((p, places[p].timed, ()))
+    clear = tuple(cleared)
+    emits, targets = tuple(emits), tuple(targets)
+    removals, all_arcs = tuple(removals), tuple(all_arcs)
+
+    def fire(state, assign):
+        # Evaluate every output before consuming: a raise leaves the
+        # state as it was.
+        now = state.now
+        made = []
+        for emit in emits:
+            made.append(emit(assign, state, now))
+        store = state.store
+        for p, name, remove in removals:
+            remove(store[p], assign[name], now)
+        for p, name, _require in all_arcs:
+            _remove_all_ready(store[p], len(assign[name]), now)
+        cache = state.cache
+        for w in clear:
             cache[w] = None
+        for (p, timed, late), tok in zip(targets, made):
+            if not timed:
+                store[p].append(tok)
+                continue
+            insort(store[p], tok, key=_stamp)
+            if tok[1] > now:
+                heappush(state.calendar, (tok[1], p))
+            else:
+                for w in late:
+                    cache[w] = None
+        state.step_count += 1
+
+    return _CompiledTransition(spec.name, spec, bindings, fire)
+
+
+def enumerate_bindings(net, store, now):
+    """Every enabled (transition index, assignment) pair."""
+    return [
+        (t_idx, assign)
+        for t_idx, t in enumerate(net.transitions)
+        for assign in t.bindings(store, now)
+    ]
 
 
 def _refresh_memos(net, state):
@@ -267,11 +403,12 @@ def _refresh_memos(net, state):
     :func:`enumerate_bindings` lists.
     """
     cache = state.cache
+    store, now = state.store, state.now
+    transitions = net.transitions
     n = 0
     for t_idx, memo in enumerate(cache):
         if memo is None:
-            memo = cache[t_idx] = _transition_bindings(
-                net, state.store, state.now, t_idx)
+            memo = cache[t_idx] = transitions[t_idx].bindings(store, now)
         n += len(memo)
     return n
 
@@ -290,8 +427,9 @@ def step(net, state):
                 break
             k -= len(memo)
         assign = memo[k]
-        apply_binding(net, state, t_idx, assign)
-        return Fired(net.transitions[t_idx].name, assign, state.now)
+        t = net.transitions[t_idx]
+        t.fire(state, assign)
+        return _fired((t.name, assign, state.now))
     previous = state.now
     calendar = state.calendar
     cache = state.cache
@@ -358,21 +496,24 @@ def enabled_bindings(net, state):
 def fire(net, state, transition, assignment):
     """Fire a binding that :func:`enabled_bindings` lists right now.
 
-    Raises :class:`FiringError` unless ``assignment`` is one of the
-    transition's enabled assignments at ``state.now``.  Mutates and
-    returns ``state``.
+    Raises :class:`FiringError` unless ``assignment`` equals one of the
+    transition's enabled assignments at ``state.now``; that enumerated
+    assignment, whose values are the tokens' own, is the one fired.
+    Mutates and returns ``state``.
     """
     try:
-        t_idx = net.transition_index[transition]
+        t = net.transitions[net.transition_index[transition]]
     except KeyError:
         raise FiringError(f"unknown transition {transition}") from None
-    if assignment not in _transition_bindings(
-            net, state.store, state.now, t_idx):
+    enabled = t.bindings(state.store, state.now)
+    try:
+        listed = enabled[enabled.index(assignment)]
+    except ValueError:
         raise FiringError(
             f"{transition} is not enabled with the binding "
             f"{assignment!r} at time {state.now}"
-        )
-    apply_binding(net, state, t_idx, assignment)
+        ) from None
+    t.fire(state, listed)
     return state
 
 

@@ -11,8 +11,9 @@ Everything here is plain data.  The operations on it (binding
 enumeration, firing, time advancement) live in ``_kernel.py``.
 
 Internally a place is a list of ``(value, timestamp)`` pairs, one entry
-per token; untimed places use timestamp 0, which is always ready.  The
-engine sorts and compares token values but never hashes them.  Public
+per token; untimed places use timestamp 0, which is always ready, and
+timed places are kept sorted by timestamp.  The engine sorts and
+compares token values but never hashes them.  Public
 accessors group equal tokens into ``(value, timestamp, count)``
 triples and report ``None`` timestamps for untimed places.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -151,9 +153,13 @@ class OutputArc:
     ``expr(assignment, state)`` yields the token value; ``delay`` is
     either an int or ``delay(assignment, state)`` yielding milliseconds.
     The produced token's timestamp is ``state.now + delay`` on timed
-    places; untimed target places require the constant delay 0.  All
-    randomness must live in ``expr``/``delay`` (via ``state.rng``),
-    never in guards.
+    places; untimed target places require the constant delay 0, and a
+    constant delay must not be negative.  A firing evaluates every
+    output arc, ``expr`` then ``delay`` in arc order, before it consumes
+    any input token, so an expression sees the marking as it was when
+    the binding was enabled, and one that raises leaves the marking as
+    it was.  All randomness must live in ``expr``/``delay`` (via
+    ``state.rng``), never in guards.
     """
 
     place: str
@@ -171,30 +177,32 @@ class TransitionSpec:
     guard: Callable[[dict], bool] | None = None
 
 
-# Arc-kind tags used by the kernel.
-ARC_VAR = 0
-ARC_ALL = 1
-
-
 class _CompiledTransition(NamedTuple):
-    """Flattened transition record the kernel iterates over."""
+    """A transition as the kernel runs it: two functions built with the net.
+
+    ``bindings(store, now)`` lists the enabled assignments in
+    enumeration order; ``fire(state, assignment)`` fires one of them.
+    ``spec`` is the declaration they were built from.
+    """
 
     name: str
-    guard: Callable[[dict], bool] | None
-    # (place_idx, kind, var_name, require)
-    in_arcs: tuple[tuple[int, int, str, int], ...]
-    # (place_idx, timed, expr, delay)
-    out_arcs: tuple[tuple[int, bool, Callable, Any], ...]
+    spec: TransitionSpec
+    bindings: Callable[[list, int], list[dict]]
+    fire: Callable[["SimState", dict], None]
 
 
 class Net:
     """Immutable net structure; build via :class:`NetBuilder`.
 
     Transitions are stored sorted by name, and binding enumeration
-    visits them in that order, so event traces are reproducible.
+    visits them in that order, so event traces are reproducible.  Each
+    is compiled once, here, into the functions the kernel calls.
     """
 
     def __init__(self, places: list[Place], transitions: list[TransitionSpec]):
+        # Imported here: the kernel imports this module.
+        from cpnsim.engine._kernel import compile_transition
+
         self.places: tuple[Place, ...] = tuple(places)
         self.place_index: dict[str, int] = {p.name: i for i, p in enumerate(places)}
         if len(self.place_index) != len(places):
@@ -202,52 +210,49 @@ class Net:
         self.timed_places: tuple[int, ...] = tuple(
             i for i, p in enumerate(places) if p.timed
         )
-        self.colour_checks: tuple[Callable[[Any], bool], ...] = tuple(
-            p.colour.quick for p in places
-        )
 
         specs = sorted(transitions, key=lambda t: t.name)
         if len({t.name for t in specs}) != len(specs):
             raise ModelStructureError("duplicate transition names")
-        self.transitions: tuple[_CompiledTransition, ...] = tuple(
-            self._compile(t) for t in specs
-        )
-        self.transition_index: dict[str, int] = {
-            t.name: i for i, t in enumerate(self.transitions)
-        }
+        arcs = [self._arcs(t) for t in specs]
         # For every place, the transitions whose enabledness can change
         # when that place's ready tokens change (its input watchers).
         watchers: list[list[int]] = [[] for _ in places]
-        for t_idx, t in enumerate(self.transitions):
-            for pidx, _kind, _name, _require in t.in_arcs:
+        for t_idx, (in_arcs, _out_arcs) in enumerate(arcs):
+            for pidx, _pattern in in_arcs:
                 watchers[pidx].append(t_idx)
         self.place_watchers: tuple[tuple[int, ...], ...] = tuple(
             tuple(w) for w in watchers
         )
+        self.transitions: tuple[_CompiledTransition, ...] = tuple(
+            compile_transition(self, spec, in_arcs, out_arcs)
+            for spec, (in_arcs, out_arcs) in zip(specs, arcs)
+        )
+        self.transition_index: dict[str, int] = {
+            t.name: i for i, t in enumerate(self.transitions)
+        }
 
-    def _compile(self, spec: TransitionSpec) -> _CompiledTransition:
+    def _arcs(self, spec: TransitionSpec):
+        """Checked ``(place index, pattern)`` and ``(place index, OutputArc)`` lists."""
         in_arcs = []
         for place_name, pattern in spec.inputs:
             idx = self._place_idx(spec.name, place_name)
-            if isinstance(pattern, Var):
-                kind, require = ARC_VAR, -1
-            elif isinstance(pattern, All):
-                kind, require = ARC_ALL, pattern.require
-            else:
+            if not isinstance(pattern, (Var, All)):
                 raise ModelStructureError(
                     f"transition {spec.name}: unknown input pattern {pattern!r}"
                 )
             # An exact-count All arc is only well-defined where every
             # token is always ready; on a timed place the ready count
             # depends on the clock and the cheap count prefilter lies.
-            if kind == ARC_ALL and require >= 0 and self.places[idx].timed:
+            if (isinstance(pattern, All) and pattern.require >= 0
+                    and self.places[idx].timed):
                 raise ModelStructureError(
                     f"transition {spec.name}: All(require=...) needs the "
                     f"untimed place, {place_name} is timed"
                 )
-            in_arcs.append((idx, kind, pattern.name, require))
-        places = {arc[0] for arc in in_arcs}
-        names = {arc[2] for arc in in_arcs}
+            in_arcs.append((idx, pattern))
+        places = {idx for idx, _pattern in in_arcs}
+        names = {pattern.name for _idx, pattern in in_arcs}
         if len(places) != len(in_arcs) or len(names) != len(in_arcs):
             raise ModelStructureError(
                 f"transition {spec.name}: each input arc needs its own "
@@ -257,16 +262,18 @@ class Net:
         out_arcs = []
         for arc in spec.outputs:
             idx = self._place_idx(spec.name, arc.place)
-            timed = self.places[idx].timed
-            if not timed and (callable(arc.delay) or arc.delay != 0):
+            constant = not callable(arc.delay)
+            if not self.places[idx].timed and not (constant and arc.delay == 0):
                 raise ModelStructureError(
                     f"transition {spec.name}: delay on untimed place {arc.place}"
                 )
-            out_arcs.append((idx, timed, arc.expr, arc.delay))
-
-        return _CompiledTransition(
-            spec.name, spec.guard, tuple(in_arcs), tuple(out_arcs)
-        )
+            if constant and arc.delay < 0:
+                raise ModelStructureError(
+                    f"transition {spec.name}: negative delay {arc.delay} "
+                    f"on place {arc.place}"
+                )
+            out_arcs.append((idx, arc))
+        return in_arcs, out_arcs
 
     def _place_idx(self, tname: str, pname: str) -> int:
         try:
@@ -312,6 +319,10 @@ class NetBuilder:
 # ---------------------------------------------------------------------------
 # Markings
 # ---------------------------------------------------------------------------
+
+# The key a timed place's token list is sorted by.
+_stamp = itemgetter(1)
+
 
 def _grouped(tokens) -> list[tuple[Any, int, int]]:
     """Sorted ``(value, timestamp, count)`` triples of a place's tokens."""
@@ -363,7 +374,9 @@ class Marking:
     """Assignment of a token multiset to every place of a net.
 
     Value semantics: ``add_tokens`` returns a new marking and never
-    aliases mutable state with the original.
+    aliases mutable state with the original.  A timed place's tokens are
+    kept sorted by timestamp, in the order added among equal ones, as
+    :class:`SimState` needs them.
     """
 
     def __init__(self, net: Net, store: list[list] | None = None):
@@ -386,8 +399,11 @@ class Marking:
         except KeyError:
             raise ModelStructureError(f"unknown place {place}") from None
         store = self._copy_store()
-        for value, ts, count in _normalize_tokens(self.net.places[idx], tokens):
+        target = self.net.places[idx]
+        for value, ts, count in _normalize_tokens(target, tokens):
             store[idx].extend([(value, ts)] * count)
+        if target.timed:
+            store[idx].sort(key=_stamp)
         return Marking(self.net, store)
 
     def count(self, place: str) -> int:
@@ -454,8 +470,10 @@ class SimState:
     ``rng``.
 
     ``store`` holds, per place index, the list of the place's
-    ``(value, timestamp)`` tokens, one entry per token, in no particular
-    order; a place's token count is the length of its list.
+    ``(value, timestamp)`` tokens, one entry per token; a place's token
+    count is the length of its list.  An untimed place keeps arrival
+    order; a timed place is kept sorted by timestamp, in arrival order
+    among equal timestamps (the marking's order to begin with).
 
     ``calendar`` is the event calendar that drives time advance.  Its
     invariant: the set of its entries equals the set of

@@ -7,8 +7,8 @@ sweep can be reproduced, and results do not depend on execution order
 even when replications run in parallel worker processes.
 
 A replication that hits the step limit is *aborted*; one that raises
-is *failed* and named by its seed path.  Neither stops the sweep, and
-neither counts towards its point's aggregates.
+is *failed*.  Both are named by their seed path; neither stops the
+sweep, and neither counts towards its point's aggregates.
 """
 
 from __future__ import annotations
@@ -109,6 +109,15 @@ class SweepPoint:
     mean_failures: float
 
 
+class AbortedReplication(NamedTuple):
+    """A replication that hit the step limit, with the seed path that reproduces it."""
+
+    scene: str
+    scenario: str
+    nodes: int
+    seed: str  # "base_seed:point_index:replication", as in the records
+
+
 class FailedReplication(NamedTuple):
     """A replication that raised, with the seed path that reproduces it."""
 
@@ -125,8 +134,13 @@ class ExperimentResult:
 
     points: list[SweepPoint]
     records: dict[tuple[str, str], list[SceneRecord]] = field(default_factory=dict)
-    aborted: list[tuple[str, str, int, int]] = field(default_factory=list)
+    aborted: list[AbortedReplication] = field(default_factory=list)
     failed: list[FailedReplication] = field(default_factory=list)
+
+
+def _seed_label(seed_path: tuple[int, ...]) -> str:
+    """``base_seed:point_index:replication``, as ``RngStream.label`` writes it."""
+    return ":".join(map(str, seed_path))
 
 
 def _run_replication(scene: SceneConfig, params: ScenarioParams,
@@ -162,7 +176,7 @@ def _replication_task(args):
         return _run_replication(scene, params, seed_path, step_limit,
                                 scenes_per_run)
     except Exception as exc:
-        seed = ":".join(map(str, seed_path))
+        seed = _seed_label(seed_path)
         logger.exception("replication failed: seed=%s", seed)
         return FailedReplication(scene.label, params.scenario, params.node_count,
                                  seed, f"{type(exc).__name__}: {exc}")
@@ -198,10 +212,12 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
                 result.failed.append(outcome)
                 continue
             if outcome is None:
-                result.aborted.append((scene.label, scenario, node_count, rep))
+                seed = _seed_label((plan.base_seed, index, rep))
+                result.aborted.append(
+                    AbortedReplication(scene.label, scenario, node_count, seed))
                 logger.warning(
                     "replication aborted at step limit: scene=%s scenario=%s "
-                    "nodes=%d rep=%d", scene.label, scenario, node_count, rep,
+                    "nodes=%d seed=%s", scene.label, scenario, node_count, seed,
                 )
                 continue
             completed += 1

@@ -176,6 +176,10 @@ class TestEndToEnd:
         assert code == 0
         err = capsys.readouterr().err
         assert err.count("aborted:") == 4  # 2 points x 2 replications
+        for point, nodes in enumerate((1, 2)):
+            for rep in (0, 1):
+                assert (f"aborted: scene=4000x3000 scenario=ideal nodes={nodes} "
+                        f"seed=5:{point}:{rep}\n") in err
 
     def test_points_without_completed_replications_are_not_zero(self, tmp_path):
         out = tmp_path / "r"

@@ -19,6 +19,7 @@ from cpnsim.engine import (
     StepLimitExceeded,
     TimeAdvanced,
     Var,
+    _kernel,
     advance_time,
     enabled_bindings,
     fire,
@@ -33,6 +34,25 @@ from helpers import TraceHook, build_delay_net, build_guard_net, guard_net_marki
 
 def state_of(net, marking, seed=1234, now=0):
     return SimState(net, marking, RngStream(seed), now=now)
+
+
+def assert_failed_firing_changes_nothing(net, state, error):
+    """``fire`` and ``step`` both raise ``error`` and leave the state as it was.
+
+    The memos are built first, so a firing that cleared them before
+    raising would show.  The binding is still enabled afterwards.
+    """
+    [(name, binding)] = enabled_bindings(net, state)
+    _kernel._refresh_memos(net, state)
+    before = ([list(tokens) for tokens in state.store], state.step_count,
+              list(state.calendar), list(state.cache))
+    for attempt in (lambda: fire(net, state, name, binding),
+                    lambda: step(net, state)):
+        with pytest.raises(error):
+            attempt()
+        assert ([list(tokens) for tokens in state.store], state.step_count,
+                list(state.calendar), list(state.cache)) == before
+        assert enabled_bindings(net, state) == [(name, binding)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +196,16 @@ class TestFire:
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", {"x": 1, "y": 1})
 
+    def test_fire_produces_from_the_enumerated_tokens(self, guard_net):
+        # 2.0 equals the enumerated 2, so the binding is enabled; the
+        # tokens' own values are the ones bound, and x + y is the int 3.
+        state = state_of(guard_net, guard_net_marking(guard_net, [2], [1]))
+        fire(guard_net, state, "tt", {"x": 2.0, "y": 1})
+        assert state.count("p1") == state.count("p2") == 0
+        [(value, _ts, count)] = state.tokens("p3")
+        assert (value, type(value), count) == (3, int, 1)
+        assert state.step_count == 1
+
     # Assignments the enumeration does not list: one on an empty
     # marking (a token from nothing), and x=50 while x=2 is enabled.
     @pytest.mark.parametrize("p1, p2, assignment", [
@@ -233,9 +263,27 @@ class TestFire:
                                         delay=lambda v, s: -1)])
         net = b.build()
         state = state_of(net, Marking.empty(net).add_tokens("a", [(1, 0)]))
-        [(name, binding)] = enabled_bindings(net, state)
-        with pytest.raises(ModelStructureError):
-            fire(net, state, name, binding)
+        assert_failed_firing_changes_nothing(net, state, ModelStructureError)
+
+    def test_raising_arc_expression_changes_nothing(self):
+        # The first output is fine; the second raises.
+        b = NetBuilder()
+        b.place("a", INT_SET, timed=True)
+        b.place("b", INT_SET, timed=True)
+        b.transition("t", inputs=[("a", Var("x"))],
+                     outputs=[OutputArc("b", lambda v, s: v["x"], delay=5),
+                              OutputArc("b", lambda v, s: 1 // 0)])
+        net = b.build()
+        state = state_of(net, Marking.empty(net).add_tokens("a", [(1, 0)]))
+        assert_failed_firing_changes_nothing(net, state, ZeroDivisionError)
+
+    def test_negative_constant_delay_rejected(self):
+        b = NetBuilder()
+        b.place("a", INT_SET, timed=True)
+        b.transition("t", inputs=[("a", Var("x"))],
+                     outputs=[OutputArc("a", lambda v, s: v["x"], delay=-1)])
+        with pytest.raises(ModelStructureError, match="negative delay"):
+            b.build()
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +544,7 @@ class TestNetValidation:
                      outputs=[OutputArc("out", lambda v, s: str(v["x"]))])
         net = b.build()
         state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
-        [(name, binding)] = enabled_bindings(net, state)
-        with pytest.raises(ModelStructureError):
-            fire(net, state, name, binding)
+        assert_failed_firing_changes_nothing(net, state, ModelStructureError)
 
     @pytest.mark.parametrize("inputs", [
         [("a", Var("x")), ("a", Var("y"))],

@@ -12,6 +12,7 @@ from cpnsim import experiment
 from cpnsim.experiment import (
     CSV_HEADER,
     DEFAULT_NODE_COUNTS,
+    AbortedReplication,
     ExperimentPlan,
     FailedReplication,
     SweepPoint,
@@ -177,11 +178,14 @@ class TestAborts:
         with caplog.at_level(logging.WARNING, logger="cpnsim.experiment"):
             result = run_experiment_detailed(plan)
         assert result.aborted == [
-            ("4000x3000", "ideal", 2, 0), ("4000x3000", "ideal", 2, 1)]
+            AbortedReplication("4000x3000", "ideal", 2, "1:0:0"),
+            AbortedReplication("4000x3000", "ideal", 2, "1:0:1")]
         [point] = result.points
         assert point.replications == 0
         assert point.mean_ms == 0.0
-        assert sum("aborted" in r.message for r in caplog.records) == 2
+        assert [r.message for r in caplog.records if "aborted" in r.message] == [
+            "replication aborted at step limit: scene=4000x3000 "
+            f"scenario=ideal nodes=2 seed=1:0:{rep}" for rep in (0, 1)]
 
     def test_a_failing_replication_is_reported_and_skipped(self, monkeypatch,
                                                            caplog):

@@ -3,12 +3,13 @@
 ``step`` enumerates through per-transition memos that firings and time
 advances invalidate, and advances time off an event calendar.  After
 every step of a run, the memos, read in transition order, must equal a
-fresh stateless enumeration of the same marking, and the calendar must
-hold exactly the pending tokens' (timestamp, place) pairs.  On
-generated nets, every time advance must also land where a rescan of
-the pending tokens says.  A pick of ``k`` must fire the k-th binding of
-the stateless enumeration, and two Var arcs must enumerate like the
-general product.
+fresh stateless enumeration of the same marking and an enumeration
+written here from the transitions' declarations alone, and the
+calendar must hold exactly the pending tokens' (timestamp, place)
+pairs.  On generated nets, every time advance must also land where a
+rescan of the pending tokens says.  A pick of ``k`` must fire the k-th
+binding of the stateless enumeration, and two Var arcs must enumerate
+like the general product.
 """
 
 from __future__ import annotations
@@ -42,6 +43,42 @@ from helpers import TraceHook, build_delay_net, build_guard_net, guard_net_marki
 TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
 
+def reference_bindings(net, store, now):
+    """Every enabled (transition index, assignment), from the declarations.
+
+    Uses nothing of the kernel: transitions in name order; a Var arc's
+    candidates are its place's sorted distinct ready values, an All
+    arc's value the sorted tuple of its ready values (an exact-count arc
+    needs exactly that many tokens, all ready); assignments are the
+    plain product, All variables first, then the guard.
+    """
+    found = []
+    for t_idx, t in sorted(enumerate(net.transitions),
+                           key=lambda entry: entry[1].spec.name):
+        fixed, var_names, candidates = {}, [], []
+        whole = True
+        for place, pattern in t.spec.inputs:
+            tokens = store[net.place_index[place]]
+            ready = sorted(value for value, ts in tokens if ts <= now)
+            if type(pattern) is All:
+                if pattern.require >= 0:
+                    whole = whole and (
+                        len(tokens) == len(ready) == pattern.require)
+                fixed[pattern.name] = tuple(ready)
+            else:
+                var_names.append(pattern.name)
+                candidates.append([v for i, v in enumerate(ready)
+                                   if i == 0 or ready[i - 1] != v])
+        if not whole:
+            continue
+        for values in itertools.product(*candidates):
+            assign = dict(fixed)
+            assign.update(zip(var_names, values))
+            if t.spec.guard is None or t.spec.guard(assign):
+                found.append((t_idx, assign))
+    return found
+
+
 def check_state(net, state):
     """The memos and the calendar agree with the marking."""
     n = _kernel._refresh_memos(net, state)
@@ -49,6 +86,10 @@ def check_state(net, state):
              for assign in memo]
     assert len(memos) == n
     assert memos == _kernel.enumerate_bindings(net, state.store, state.now)
+    reference = reference_bindings(net, state.store, state.now)
+    assert memos == reference
+    assert [list(a.items()) for _t, a in memos] == [
+        list(a.items()) for _t, a in reference]
     assert set(state.calendar) == {
         (ts, pidx) for pidx, tokens in enumerate(state.store)
         for _value, ts in tokens if ts > state.now}
@@ -75,13 +116,15 @@ class MemoCheckHook:
 
 
 def checked_run(net, marking, seed, stop=None):
-    """Run under the check and return the check's hook.
+    """Run under the check, from a checked start, and return the check's hook.
 
     A second, unchecked run from the same marking and seed must give the
     same event trace.
     """
     hook, checked, bare = MemoCheckHook(net), TraceHook(), TraceHook()
-    run(net, SimState(net, marking, RngStream(seed)), stop, [hook, checked])
+    state = SimState(net, marking, RngStream(seed))
+    check_state(net, state)
+    run(net, state, stop, [hook, checked])
     run(net, SimState(net, marking, RngStream(seed)), stop, [bare])
     assert checked.events == bare.events
     return hook
@@ -196,16 +239,7 @@ class TestStepReadsTheMemos:
         marking = (Marking.empty(net).add_tokens("p1", [3, 1, 2, 2, 1])
                    .add_tokens("p2", [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]))
         store, now = SimState(net, marking, RngStream(0)).store, 2
-        expected = []
-        for t_idx, t in enumerate(net.transitions):
-            places = [pidx for pidx, _kind, _name, _require in t.in_arcs]
-            names = [name for _pidx, _kind, name, _require in t.in_arcs]
-            candidates = [_kernel._ready_candidates(store[pidx], now)
-                          for pidx in places]
-            for values in itertools.product(*candidates):
-                assign = dict(zip(names, values))
-                if t.guard(assign):
-                    expected.append((t_idx, assign))
+        expected = reference_bindings(net, store, now)
         got = _kernel.enumerate_bindings(net, store, now)
         assert got == expected
         assert [list(a.items()) for _t, a in got] == [
