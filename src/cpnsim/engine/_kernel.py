@@ -8,16 +8,16 @@ exactly when the enumeration lists it, and ``fire`` checks a caller's
 assignment against that list, so the firing rule is stated once.
 
 The marking is ``state.store``: per place index, a list of
-``(value, timestamp)`` pairs, one entry per token.  An untimed place
-keeps its tokens in arrival order; a timed place keeps them sorted by
-timestamp, in arrival order among equal timestamps, so its ready
-tokens are a prefix found by bisection.  A firing adds the tokens it
-produces (appended, or inserted at their timestamp) and deletes the
-ones it consumes; a place's token count is the length of its list.  No
-token value is ever hashed: candidates are found by sorting a place's
-ready values and grouping equal neighbours, and consumed tokens by
-comparing values.  A place of one token, such as the raytracing
-model's work list, needs no sort.
+``(value, timestamp)`` pairs, one entry per token.  An untimed place stamps every
+token 0 and keeps them in arrival order; a timed place keeps them
+sorted by timestamp, in arrival order among equal timestamps.  Either
+way a place's ready tokens are a prefix found by bisection.  A firing
+adds the tokens it produces (appended, or inserted at their timestamp)
+and deletes the ones it consumes; a place's token count is the length
+of its list.  No token value is ever hashed: candidates are found by
+sorting a place's ready values and grouping equal neighbours, and
+consumed tokens by comparing values.  A place of one token, such as the
+raytracing model's work list, needs no sort.
 
 Every transition is compiled once, when its ``Net`` is built
 (:func:`compile_transition`), into two plain functions that
@@ -36,8 +36,9 @@ Every transition is compiled once, when its ``Net`` is built
   checks, and only then consumes the inputs and adds the outputs.  A
   firing that raises, whether in a check or in an arc expression,
   leaves the marking, ``step_count``, the calendar and the memos as
-  they were.  Each output's colour check, timedness and constant or
-  function delay are fixed at build time.
+  they were; RNG draws that earlier arcs already made are not undone.
+  Each output's colour check, timedness and constant or function delay
+  are fixed at build time.
 
 Determinism contract:
 
@@ -82,7 +83,6 @@ what enumeration at the old time gives too.
 
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
-from functools import partial
 from itertools import product
 from operator import itemgetter
 
@@ -102,8 +102,6 @@ from cpnsim.engine.types import (
 DEFAULT_STEP_LIMIT = 10_000_000
 
 _value = itemgetter(0)
-# ``Fired((...))`` without the Python-level ``__new__`` of a NamedTuple.
-_fired = partial(tuple.__new__, Fired)
 
 
 def _distinct(values):
@@ -122,22 +120,16 @@ def _distinct(values):
 
 
 def _ready_candidates(tokens, now):
-    """The distinct ready values of a timed place, sorted.
+    """The distinct ready values of a place, sorted.
 
-    The place is sorted by timestamp, so its ready tokens are the
-    prefix that bisection finds; one ready token needs no sort.
+    The place is sorted by timestamp (an untimed place stamps every
+    token 0), so its ready tokens are the prefix that bisection finds;
+    one ready token needs no sort.
     """
     i = bisect_right(tokens, now, key=_stamp)
     if i < 2:
         return [tokens[0][0]] if i else []
     return _distinct(sorted(map(_value, tokens[:i])))
-
-
-def _untimed_candidates(tokens, now):
-    """The distinct values of an untimed place, sorted: all are ready."""
-    if len(tokens) == 1:
-        return [tokens[0][0]]
-    return _distinct(sorted(map(_value, tokens)))
 
 
 def _gather_all(tokens, now):
@@ -147,20 +139,14 @@ def _gather_all(tokens, now):
 
 def _var_bindings(arc, guard):
     """One ``Var`` arc: each ready value is one binding, no product."""
-    p, name, candidates = arc
+    p, name = arc
 
     def bindings(store, now):
         tokens = store[p]
         if not tokens:
             return []
-        if len(tokens) == 1:
-            value, ts = tokens[0]
-            if ts > now:
-                return []
-            assign = {name: value}
-            return [assign] if guard is None or guard(assign) else []
         out = []
-        for value in candidates(tokens, now):
+        for value in _ready_candidates(tokens, now):
             assign = {name: value}
             if guard is None or guard(assign):
                 out.append(assign)
@@ -172,17 +158,17 @@ def _var_bindings(arc, guard):
 def _var_pair_bindings(arc1, arc2, guard):
     """Two ``Var`` arcs: the product of the two candidate lists, as a
     double loop in the order of the general product."""
-    p1, name1, candidates1 = arc1
-    p2, name2, candidates2 = arc2
+    p1, name1 = arc1
+    p2, name2 = arc2
 
     def bindings(store, now):
         tokens1, tokens2 = store[p1], store[p2]
         if not tokens1 or not tokens2:
             return []
-        first = candidates1(tokens1, now)
+        first = _ready_candidates(tokens1, now)
         if not first:
             return []
-        second = candidates2(tokens2, now)
+        second = _ready_candidates(tokens2, now)
         out = []
         for v1 in first:
             for v2 in second:
@@ -204,7 +190,7 @@ def _product_bindings(var_arcs, all_arcs, guard):
     ready and a count test decides it.
     """
     var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
-    var_names = tuple(name for _p, name, _candidates in var_arcs)
+    var_names = tuple(name for _p, name in var_arcs)
     counted = tuple((p, require) for p, _name, require in all_arcs
                     if require >= 0)
 
@@ -212,13 +198,13 @@ def _product_bindings(var_arcs, all_arcs, guard):
         for p, require in counted:
             if len(store[p]) != require:
                 return []
-        for p, _name, _candidates in var_arcs:
+        for p, _name in var_arcs:
             if not store[p]:
                 return []
         fixed = {name: _gather_all(store[p], now) for p, name, _r in all_arcs}
         lists = []
-        for p, _name, candidates in var_arcs:
-            ready = candidates(store[p], now)
+        for p, _name in var_arcs:
+            ready = _ready_candidates(store[p], now)
             if not ready:
                 return []
             lists.append(ready)
@@ -250,15 +236,6 @@ def _remove_value(tokens, value, now):
             del tokens[i]
             return
     raise AssertionError("no ready token for a bound value")
-
-
-def _remove_untimed(tokens, value, now):
-    """Remove the first token of ``value`` from an untimed place.
-
-    Every timestamp there is 0, so the first equal token is the oldest
-    one; ``list.index`` tests identity before equality, as above.
-    """
-    del tokens[tokens.index((value, 0))]
 
 
 def _remove_all_ready(tokens, expected, now):
@@ -318,23 +295,18 @@ def compile_transition(net, spec, in_arcs, out_arcs):
 
     ``in_arcs`` holds ``(place index, Var or All)`` and ``out_arcs``
     ``(place index, OutputArc)`` pairs, checked by ``Net``, whose
-    ``place_watchers`` must already be set.  Each place's timedness
-    picks how its candidates are found and its tokens removed.
+    ``place_watchers`` must already be set.
     """
     places, watchers = net.places, net.place_watchers
     # The memos every firing clears; see the module docstring.
     cleared = set()
-    var_arcs, removals, all_arcs = [], [], []
+    var_arcs, all_arcs = [], []
     for p, pattern in in_arcs:
         cleared.update(watchers[p])
         if type(pattern) is All:
             all_arcs.append((p, pattern.name, pattern.require))
-        elif places[p].timed:
-            var_arcs.append((p, pattern.name, _ready_candidates))
-            removals.append((p, pattern.name, _remove_value))
         else:
-            var_arcs.append((p, pattern.name, _untimed_candidates))
-            removals.append((p, pattern.name, _remove_untimed))
+            var_arcs.append((p, pattern.name))
     if not all_arcs and len(var_arcs) == 1:
         bindings = _var_bindings(var_arcs[0], spec.guard)
     elif not all_arcs and len(var_arcs) == 2:
@@ -354,18 +326,18 @@ def compile_transition(net, spec, in_arcs, out_arcs):
             targets.append((p, places[p].timed, ()))
     clear = tuple(cleared)
     emits, targets = tuple(emits), tuple(targets)
-    removals, all_arcs = tuple(removals), tuple(all_arcs)
+    var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
 
     def fire(state, assign):
         # Evaluate every output before consuming: a raise leaves the
-        # state as it was.
+        # marking, step count, calendar and memos as they were.
         now = state.now
         made = []
         for emit in emits:
             made.append(emit(assign, state, now))
         store = state.store
-        for p, name, remove in removals:
-            remove(store[p], assign[name], now)
+        for p, name in var_arcs:
+            _remove_value(store[p], assign[name], now)
         for p, name, _require in all_arcs:
             _remove_all_ready(store[p], len(assign[name]), now)
         cache = state.cache
@@ -429,7 +401,7 @@ def step(net, state):
         assign = memo[k]
         t = net.transitions[t_idx]
         t.fire(state, assign)
-        return _fired((t.name, assign, state.now))
+        return Fired(t.name, assign, state.now)
     previous = state.now
     calendar = state.calendar
     cache = state.cache

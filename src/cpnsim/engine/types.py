@@ -157,9 +157,10 @@ class OutputArc:
     constant delay must not be negative.  A firing evaluates every
     output arc, ``expr`` then ``delay`` in arc order, before it consumes
     any input token, so an expression sees the marking as it was when
-    the binding was enabled, and one that raises leaves the marking as
-    it was.  All randomness must live in ``expr``/``delay`` (via
-    ``state.rng``), never in guards.
+    the binding was enabled, and one that raises leaves the marking,
+    ``step_count``, the calendar and the memos as they were (RNG draws
+    already made by earlier arcs are not undone).  All randomness must
+    live in ``expr``/``delay`` (via ``state.rng``), never in guards.
     """
 
     place: str

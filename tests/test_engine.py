@@ -222,7 +222,9 @@ class TestFire:
         assert (state.store, state.step_count, state.calendar) == before
 
     # A bound value equal to, but not the same object as, the token's:
-    # on a place of one token and on a place of several.
+    # on a place of one token and on a place of several.  ``fire``
+    # substitutes the enumerated assignment, so the token removal is also
+    # called directly with the equal value.
     @pytest.mark.parametrize("tokens, left", [
         ([(1, 2)], []),
         ([(3,), (1, 2), (1, 2)], [((1, 2), None, 1), ((3,), None, 1)]),
@@ -240,6 +242,12 @@ class TestFire:
         fire(net, state, "t", {"xs": equal})
         assert state.tokens("a") == left
         assert state.tokens("out") == [(2, None, 1)]
+
+        place = [(value, 0) for value in tokens]
+        _kernel._remove_value(place, equal, 0)
+        expected = list(tokens)
+        expected.remove(equal)
+        assert place == [(value, 0) for value in expected]
 
     def test_oldest_ready_token_consumed_first(self):
         b = NetBuilder()
