@@ -61,10 +61,14 @@ time, of the memos it clears on every firing: those of the watchers of
 its input places, of its untimed output places and of its timed output
 places with constant delay 0.  Only a delay function that returns 0
 clears more, its place's watchers, at run time; a token stamped later
-changes nothing until the calendar reaches it.  ``step`` rebuilds the
-cleared memos, sums their lengths to get the number ``n`` of enabled
-bindings, draws ``k`` and walks the memos in transition order to the
-``k``-th binding; it builds no list of all bindings.
+changes nothing until the calendar reaches it.  ``step`` makes one pass
+over the memos (:func:`_refresh_memos`) that rebuilds the cleared ones,
+sums their lengths to get the number ``n`` of enabled bindings and
+notes the last transition with a non-empty memo.  With ``n == 1``, the
+common case, that memo's one binding fires without a draw or a second
+pass; only with ``n > 1`` does ``step`` draw ``k`` and walk the memos
+in transition order to the ``k``-th binding.  It builds no list of all
+bindings.
 
 Time advance runs off the event calendar ``state.calendar``, a min-heap
 of ``(timestamp, place index)`` entries for the tokens stamped later
@@ -368,37 +372,49 @@ def enumerate_bindings(net, store, now):
 
 
 def _refresh_memos(net, state):
-    """Rebuild the cleared memos; return the number of enabled bindings.
+    """Rebuild the stale memos in one pass; return ``(n, last)``.
 
-    Rebuild order matches the stateless enumeration exactly, so the
-    memos, read in transition order, list what
-    :func:`enumerate_bindings` lists.
+    ``n`` is the number of enabled bindings, the sum of the memos'
+    lengths, and ``last`` the index of the last transition whose memo
+    is non-empty (-1 when ``n`` is 0), so that with ``n == 1`` the
+    binding is ``state.cache[last][0]``.  Rebuild order matches the
+    stateless enumeration exactly, so the memos, read in transition
+    order, list what :func:`enumerate_bindings` lists.
     """
     cache = state.cache
     store, now = state.store, state.now
     transitions = net.transitions
     n = 0
+    last = -1
     for t_idx, memo in enumerate(cache):
         if memo is None:
             memo = cache[t_idx] = transitions[t_idx].bindings(store, now)
-        n += len(memo)
-    return n
+        if memo:
+            n += len(memo)
+            last = t_idx
+    return n, last
 
 
 def step(net, state):
     """Fire one enabled binding (uniform choice) or advance model time.
 
-    Returns the resulting :class:`Fired`, :class:`TimeAdvanced` or
-    :class:`DeadMarking` event.
+    One pass over the memos (:func:`_refresh_memos`) gives the number
+    ``n`` of enabled bindings.  With one, its binding fires without a
+    draw or a walk; with more, ``k`` is drawn and the memos are walked
+    in transition order to the ``k``-th binding.  Returns the resulting
+    :class:`Fired`, :class:`TimeAdvanced` or :class:`DeadMarking` event.
     """
-    n = _refresh_memos(net, state)
+    n, t_idx = _refresh_memos(net, state)
     if n:
-        k = state.rng.pick(n) if n > 1 else 0
-        for t_idx, memo in enumerate(state.cache):
-            if k < len(memo):
-                break
-            k -= len(memo)
-        assign = memo[k]
+        if n == 1:
+            assign = state.cache[t_idx][0]
+        else:
+            k = state.rng.pick(n)
+            for t_idx, memo in enumerate(state.cache):
+                if k < len(memo):
+                    break
+                k -= len(memo)
+            assign = memo[k]
         t = net.transitions[t_idx]
         t.fire(state, assign)
         return Fired(t.name, assign, state.now)
@@ -415,7 +431,7 @@ def step(net, state):
             for w in watchers[entry[1]]:
                 cache[w] = None
         state.now = t
-        if _refresh_memos(net, state):
+        if _refresh_memos(net, state)[0]:
             return TimeAdvanced(previous, t)
     # Dead: put the clock and the calendar back; entries popped in order
     # already form a heap.  Every memo is empty, as at ``previous``.

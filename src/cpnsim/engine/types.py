@@ -374,10 +374,12 @@ def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
 class Marking:
     """Assignment of a token multiset to every place of a net.
 
-    Value semantics: ``add_tokens`` returns a new marking and never
-    aliases mutable state with the original.  A timed place's tokens are
-    kept sorted by timestamp, in the order added among equal ones, as
-    :class:`SimState` needs them.
+    Value semantics: ``add_tokens`` returns a new marking and leaves the
+    original as it was.  The new marking copies the token list of the
+    place it adds to and shares the other places' lists, which no
+    marking changes once it is made; :class:`SimState` copies them all.
+    A timed place's tokens are kept sorted by timestamp, in the order
+    added among equal ones, as :class:`SimState` needs them.
     """
 
     def __init__(self, net: Net, store: list[list] | None = None):
@@ -399,12 +401,13 @@ class Marking:
             idx = self.net.place_index[place]
         except KeyError:
             raise ModelStructureError(f"unknown place {place}") from None
-        store = self._copy_store()
+        store = list(self._store)
+        added = store[idx] = list(store[idx])
         target = self.net.places[idx]
         for value, ts, count in _normalize_tokens(target, tokens):
-            store[idx].extend([(value, ts)] * count)
+            added.extend([(value, ts)] * count)
         if target.timed:
-            store[idx].sort(key=_stamp)
+            added.sort(key=_stamp)
         return Marking(self.net, store)
 
     def count(self, place: str) -> int:

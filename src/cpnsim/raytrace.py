@@ -31,12 +31,17 @@ list; ``selectTile`` assigns the head tile to a free node;
 ``returnTile`` puts a failed tile back in the list and invalidates its
 node; ``recoverNode`` brings a node back; ``completeScene`` fires once
 every tile is computed and starts the next scene.
+
+A ``Net`` carries no run state, so :func:`build_net` compiles the net
+of a ``(scene, params)`` once and hands the same one to every call with
+equal arguments; each call makes a fresh initial marking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 from cpnsim.engine import (
@@ -51,6 +56,7 @@ from cpnsim.engine import (
     list_set,
 )
 from cpnsim.stochastic import (
+    UNIFORM_INT_MAX,
     RngStream,
     bernoulli,
     exponential_int,
@@ -166,6 +172,9 @@ class ScenarioParams:
         for field in ("chck_per_ms", "chck_max_mult", "recovery_max_ms"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+        for field in ("chck_max_mult", "recovery_max_ms"):  # uniform_int bounds
+            if getattr(self, field) > UNIFORM_INT_MAX:
+                raise ValueError(f"{field} must be <= {UNIFORM_INT_MAX}")
 
 
 def tile_complexity(remaining_tiles: int, remaining_complexity: int,
@@ -226,7 +235,8 @@ def assign_tile(tile: Tile, node: Node, params: ScenarioParams,
         success = True
     else:
         success = bernoulli(rng, params.client_success_p)
-    return tile._replace(will_succeed=success, node_type=node.node_type)
+    return Tile(tile.width, tile.height, tile.complexity, success,
+                node.node_type)
 
 
 def raytrace_ms(tile: Tile, params: ScenarioParams) -> int:
@@ -263,16 +273,22 @@ def recovery_ms(params: ScenarioParams, rng: RngStream) -> int:
 
 
 def _reset(tile: Tile) -> Tile:
-    return tile._replace(will_succeed=True, node_type=UNASSIGNED)
+    return Tile(tile.width, tile.height, tile.complexity, True, UNASSIGNED)
 
 
-def build_net(scene: SceneConfig, params: ScenarioParams,
-              rng: RngStream) -> tuple[Net, Marking]:
-    """The raytracing net plus its initial marking.
+# Nets kept compiled: a sweep runs every replication of one point
+# before the next point, so a few cover it.
+_NETS_CACHED = 8
 
-    The initial marking holds the first scene's complexity, the cluster
-    size, one master and ``node_count - 1`` client nodes, and an empty
-    work list; only ``sendScene`` is enabled at time 0.
+
+@lru_cache(maxsize=_NETS_CACHED)
+def _compiled_net(scene: SceneConfig, params: ScenarioParams,
+                  kinds: tuple[type, ...]) -> Net:
+    """The raytracing net of ``(scene, params)``, compiled once.
+
+    ``kinds``, the types of both configs' field values, is not read; it
+    only keys the cache, because 5000 and 5000.0 are equal but a net
+    built from one would put the other's type in its tokens.
     """
     tile_set = instance_set("TILE", Tile)
     node_set = instance_set("NODE", Node)
@@ -397,8 +413,26 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         ],
     )
 
-    net = b.build()
-    nodes = [Node(MASTER)] + [Node(CLIENT)] * (params.node_count - 1)
+    return b.build()
+
+
+def build_net(scene: SceneConfig, params: ScenarioParams,
+              rng: RngStream) -> tuple[Net, Marking]:
+    """The raytracing net plus its initial marking.
+
+    A ``Net`` carries no run state, so every call with equal ``(scene,
+    params)`` returns the same compiled net; only the marking is made
+    per call.  The initial marking holds the first scene's complexity
+    (drawn from ``rng`` if it is a range), the cluster size, one master
+    and ``node_count - 1`` client nodes, and an empty work list; only
+    ``sendScene`` is enabled at time 0.
+    """
+    kinds = tuple(map(type, (*vars(scene).values(), *vars(params).values())))
+    net = _compiled_net(scene, params, kinds)
+    # As counts, so add_tokens checks each node colour once, not per node.
+    nodes = {Node(MASTER): 1}
+    if params.node_count > 1:
+        nodes[Node(CLIENT)] = params.node_count - 1
     marking = (
         Marking.empty(net)
         .add_tokens("newScene", [scene.draw_complexity(rng)])

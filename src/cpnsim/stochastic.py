@@ -17,6 +17,9 @@ import math
 
 import numpy as np
 
+# The largest upper bound uniform_int accepts: numpy draws int64.
+UNIFORM_INT_MAX = 2**63 - 1
+
 
 class RngStream:
     """One reproducible random stream, identified by its seed path."""

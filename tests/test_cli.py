@@ -88,6 +88,8 @@ class TestParsing:
         "--nodes 1-3,2",
         "--nodes 3-1",
         "--scene 4000x3000 --scene 4000x3000",
+        "--param-recovery_max_ms 9223372036854775808",
+        "--param-chck_max_mult 9223372036854775808",
     ])
     def test_invalid_plans_exit_with_usage_error(self, flags, tmp_path, capsys):
         out = tmp_path / "results"
@@ -96,6 +98,19 @@ class TestParsing:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["recovery_max_ms", "chck_max_mult"])
+    def test_int64_draw_bounds_are_the_limit(self, field, tmp_path, capsys):
+        # uniform_int hands these bounds to numpy's int64 draws.
+        argv = ["--scene", "4000x3000", "--complexity", "1000", "--nodes",
+                "2", "--scenario", "real", "--replications", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--param-{field}", str(2**63),
+                         "--out", str(tmp_path / "over")])
+        assert exc.value.code == 2
+        assert f"{field} must be <= {2**63 - 1}" in capsys.readouterr().err
+        assert main(argv + [f"--param-{field}", str(2**63 - 1),
+                            "--out", str(tmp_path / "max")]) == 0
 
     def test_reversed_node_range_is_named(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -43,7 +43,8 @@ def assert_failed_firing_changes_nothing(net, state, error):
     raising would show.  The binding is still enabled afterwards.
     """
     [(name, binding)] = enabled_bindings(net, state)
-    _kernel._refresh_memos(net, state)
+    assert _kernel._refresh_memos(net, state) == (
+        1, net.transition_index[name])
     before = ([list(tokens) for tokens in state.store], state.step_count,
               list(state.calendar), list(state.cache))
     for attempt in (lambda: fire(net, state, name, binding),
@@ -97,6 +98,13 @@ class TestAddTokens:
         before = Marking.empty(guard_net).add_tokens("p1", [1])
         before.add_tokens("p1", [9])
         assert before.tokens("p1") == [(1, None, 1)]
+        # The two markings share p1's list; a state changes only its copy.
+        after = before.add_tokens("p2", [4])
+        for tokens in state_of(guard_net, after).store:
+            tokens.clear()
+        assert before.tokens("p1") == after.tokens("p1") == [(1, None, 1)]
+        assert after.tokens("p2") == [(4, None, 1)]
+        assert before.count("p2") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from cpnsim import experiment
+from cpnsim import experiment, raytrace
 from cpnsim.experiment import (
     CSV_HEADER,
     DEFAULT_NODE_COUNTS,
@@ -209,6 +209,34 @@ class TestAborts:
         assert point.mean_ms == statistics.fmean(r.duration_ms for r in records)
         [logged] = caplog.records
         assert "seed=1:0:1" in logged.message and logged.exc_info
+
+    @pytest.mark.parametrize("scenario", [IDEAL, REAL])
+    def test_a_shared_net_gives_the_records_of_fresh_ones(self, scenario,
+                                                          monkeypatch):
+        # Back to back on one cached net, then each on a net compiled
+        # for it alone: the nets hold no run state, so nothing differs.
+        scene = SceneConfig(4_000, 3_000, 1_000, 750, (500, 1_500))
+        params = tiny_plan().params_for(scenario, 3)
+        seeds = [(1, 0, rep) for rep in range(4)]
+
+        def records():
+            return [_run_replication(scene, params, seed, 100_000, 2)
+                    for seed in seeds]
+
+        shared = records()
+        compile_net = raytrace._compiled_net.__wrapped__
+        compiled = []
+
+        def fresh_net(*key):
+            compiled.append(compile_net(*key))
+            return compiled[-1]
+
+        monkeypatch.setattr(raytrace, "_compiled_net", fresh_net)
+        fresh = records()
+        assert len({id(net) for net in compiled}) == len(seeds)
+        assert all(r is not None and len(r) == 2 for r in shared)
+        # repr tells an int field from an equal float one.
+        assert repr(shared) == repr(fresh)
 
     def test_replication_helper_reports_incompletion_as_none(self):
         params = tiny_plan().params_for(IDEAL, 2)

@@ -8,8 +8,8 @@ written here from the transitions' declarations alone, and the
 calendar must hold exactly the pending tokens' (timestamp, place)
 pairs.  On generated nets, every time advance must also land where a
 rescan of the pending tokens says.  A pick of ``k`` must fire the k-th
-binding of the stateless enumeration, and two Var arcs must enumerate
-like the general product.
+binding of the stateless enumeration, a lone binding must fire without
+a pick, and two Var arcs must enumerate like the general product.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ def reference_bindings(net, store, now):
 
 def check_state(net, state):
     """The memos and the calendar agree with the marking."""
-    n = _kernel._refresh_memos(net, state)
+    n, last = _kernel._refresh_memos(net, state)
     memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
              for assign in memo]
     assert len(memos) == n
+    assert last == (memos[-1][0] if memos else -1)
     assert memos == _kernel.enumerate_bindings(net, state.store, state.now)
     reference = reference_bindings(net, state.store, state.now)
     assert memos == reference
@@ -190,6 +191,13 @@ class PickStub:
         return self.k
 
 
+class NoPick:
+    """A stream that must not be drawn from."""
+
+    def pick(self, n):
+        raise AssertionError(f"pick({n}) with one binding enabled")
+
+
 class TestStepReadsTheMemos:
     @staticmethod
     def gapped_net():
@@ -213,12 +221,22 @@ class TestStepReadsTheMemos:
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
         state = SimState(net, marking, PickStub(0, 6))
-        assert _kernel._refresh_memos(net, state) == 6
+        assert _kernel._refresh_memos(net, state) == (6, 2)
         assert [len(memo) for memo in state.cache] == [2, 0, 4]
         for k in range(6):
             state = SimState(net, marking, PickStub(k, 6))
             name, binding = enabled_bindings(net, state)[k]
             assert step(net, state) == Fired(name, binding, 0)
+
+    def test_one_binding_fires_without_a_pick(self):
+        # Only b, the second transition, is enabled: a's and c's memos
+        # are empty on either side of it.
+        net, _marking = self.gapped_net()
+        marking = Marking.empty(net).add_tokens("p1", [3, 7])
+        state = SimState(net, marking, NoPick())
+        assert _kernel._refresh_memos(net, state) == (1, 1)
+        assert step(net, state) == Fired("b", {"x": 7}, 0)
+        assert state.tokens("p1") == [(3, None, 1)]
 
     def test_two_var_arcs_enumerate_like_the_general_product(self):
         # Several candidates per arc, repeated values, pending tokens, a

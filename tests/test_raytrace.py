@@ -25,7 +25,7 @@ from cpnsim.raytrace import (
     recovery_ms,
     tile_complexity,
 )
-from cpnsim.stochastic import RngStream
+from cpnsim.stochastic import RngStream, uniform_int
 
 from helpers import RaytraceInvariantHook
 
@@ -278,6 +278,12 @@ class TestConfigs:
             params(client_success_p=1.5)
         with pytest.raises(ValueError):
             params(chck_per_ms=0)
+        # uniform_int passes these upper bounds to numpy's int64 draws.
+        for field in ("recovery_max_ms", "chck_max_mult"):
+            with pytest.raises(ValueError, match=field):
+                params(**{field: 2**63})
+            p = params(**{field: 2**63 - 1})
+            assert 1 <= uniform_int(RngStream(1), 1, getattr(p, field))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,25 @@ class TestBuildNet:
         for place in ("prepTile", "raytrTiles", "unsrRaytrTiles",
                       "computedTiles", "invalidNodes"):
             assert marking.count(place) == 0
+
+    def test_equal_configs_share_one_compiled_net(self):
+        ranged = SceneConfig(4_000, 3_000, 1_000, 750, (500, 1_500))
+        twin = SceneConfig(4_000, 3_000, 1_000, 750, (500, 1_500))
+        net, marking = build_net(ranged, params(), RngStream(1))
+        net2, marking2 = build_net(twin, params(), RngStream(2))
+        assert net2 is net
+        assert marking2 is not marking
+        assert marking._store is not marking2._store
+        # Each marking draws its own first complexity.
+        assert marking.tokens("newScene") != marking2.tokens("newScene")
+        assert build_net(ranged, params(node_count=9), RngStream(1))[0] is not net
+
+    def test_equal_values_of_another_type_compile_another_net(self):
+        # A net built for chck_per_ms=5000 would stamp int delays where
+        # 5000.0 stamps floats.
+        net, _ = build_net(TINY, params(chck_per_ms=5000), RngStream(1))
+        other, _ = build_net(TINY, params(chck_per_ms=5000.0), RngStream(1))
+        assert other is not net
 
     def test_only_scene_distribution_enabled_at_start(self):
         rng = RngStream(1)
