@@ -27,10 +27,12 @@ Every transition is compiled once, when its ``Net`` is built
 * ``bindings(store, now)`` lists the enabled assignments.  Every input
   arc has its own place and its own variable (``Net`` rejects anything
   else), so they are the plain product of the ``Var`` arcs' candidate
-  values, with the ``All`` arcs' tuples, filtered by the guard.  The
-  build picks one of three shapes: one ``Var`` arc (a plain loop), two
-  ``Var`` arcs (a double loop) or the general product; all three list
-  the same bindings in the same order.
+  values, with the ``All`` arcs' tuples, filtered by the guard.  An
+  ``All`` arc's place is untimed and must hold exactly its count of
+  tokens; its tuple is all of them, sorted.  The build picks one of
+  three shapes: one ``Var`` arc (a plain loop), two ``Var`` arcs (a
+  double loop) or the general product; all three list the same bindings
+  in the same order.
 * ``fire(state, assignment)`` first evaluates every output arc, in arc
   order ``expr`` then ``delay``, with its colour and negative-delay
   checks, and only then consumes the inputs and adds the outputs.  A
@@ -48,8 +50,8 @@ Determinism contract:
   enumerated lexicographically over (transition, token values);
 * firing follows the transition's input arcs: a ``Var`` arc consumes
   the ready token of its bound value with the smallest timestamp (the
-  earliest arrival among equal timestamps), an ``All`` arc every ready
-  token;
+  earliest arrival among equal timestamps), an ``All`` arc every token
+  of its untimed place;
 * ``step`` draws one choice index from the state RNG only when two or
   more bindings are enabled.
 
@@ -136,11 +138,6 @@ def _ready_candidates(tokens, now):
     return _distinct(sorted(map(_value, tokens[:i])))
 
 
-def _gather_all(tokens, now):
-    """All ready values (with multiplicity), sorted."""
-    return tuple(sorted([value for value, ts in tokens if ts <= now]))
-
-
 def _var_bindings(arc, guard):
     """One ``Var`` arc: each ready value is one binding, no product."""
     p, name = arc
@@ -189,23 +186,22 @@ def _product_bindings(var_arcs, all_arcs, guard):
     ``All`` arcs' tuples.
 
     The ``All`` arcs' variables come first in every assignment, then the
-    ``Var`` arcs' in arc order.  An exact-count ``All`` arc sits on an
-    untimed place (``Net`` checks this), so its whole population is
-    ready and a count test decides it.
+    ``Var`` arcs' in arc order.  An ``All`` arc sits on an untimed place
+    (``Net`` checks this), so its whole population is ready and a count
+    test decides it.
     """
     var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
     var_names = tuple(name for _p, name in var_arcs)
-    counted = tuple((p, require) for p, _name, require in all_arcs
-                    if require >= 0)
 
     def bindings(store, now):
-        for p, require in counted:
+        for p, _name, require in all_arcs:
             if len(store[p]) != require:
                 return []
         for p, _name in var_arcs:
             if not store[p]:
                 return []
-        fixed = {name: _gather_all(store[p], now) for p, name, _r in all_arcs}
+        fixed = {name: tuple(sorted(map(_value, store[p])))
+                 for p, name, _r in all_arcs}
         lists = []
         for p, _name in var_arcs:
             ready = _ready_candidates(store[p], now)
@@ -240,14 +236,6 @@ def _remove_value(tokens, value, now):
             del tokens[i]
             return
     raise AssertionError("no ready token for a bound value")
-
-
-def _remove_all_ready(tokens, expected, now):
-    """Remove every ready token; the population must match the binding."""
-    pending = [tok for tok in tokens if tok[1] > now]
-    assert len(tokens) - len(pending) == expected, (
-        "ready population changed since enumeration")
-    tokens[:] = pending
 
 
 def _outside(t_name, place, value):
@@ -342,8 +330,11 @@ def compile_transition(net, spec, in_arcs, out_arcs):
         store = state.store
         for p, name in var_arcs:
             _remove_value(store[p], assign[name], now)
-        for p, name, _require in all_arcs:
-            _remove_all_ready(store[p], len(assign[name]), now)
+        for p, _name, require in all_arcs:
+            tokens = store[p]
+            assert len(tokens) == require, (
+                "population changed since enumeration")
+            tokens.clear()
         cache = state.cache
         for w in clear:
             cache[w] = None

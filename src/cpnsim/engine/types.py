@@ -130,17 +130,16 @@ class Var(NamedTuple):
 
 
 class All(NamedTuple):
-    """Input-arc pattern binding every ready token in the place.
+    """Input-arc pattern binding every token of an untimed place.
 
-    The variable receives a sorted tuple of the ready token values
-    (with multiplicity), and firing consumes all of them.  When
-    ``require`` is non-negative, the arc only matches if the place's
-    total token count equals it and all those tokens are ready - the
-    cheap way to express "wait for the whole population".
+    The arc is enabled only when the place holds exactly ``require``
+    tokens, an int of 0 or more: the way to express "wait for the whole
+    population".  The variable receives the sorted tuple of their values
+    (with multiplicity), and firing consumes all of them.
     """
 
     name: str
-    require: int = -1
+    require: int
 
 
 InputPattern = Var | All
@@ -242,14 +241,15 @@ class Net:
                 raise ModelStructureError(
                     f"transition {spec.name}: unknown input pattern {pattern!r}"
                 )
-            # An exact-count All arc is only well-defined where every
-            # token is always ready; on a timed place the ready count
-            # depends on the clock and the cheap count prefilter lies.
-            if (isinstance(pattern, All) and pattern.require >= 0
-                    and self.places[idx].timed):
+            # An All arc's count is exact only where every token is
+            # always ready; on a timed place it would depend on the clock.
+            if isinstance(pattern, All) and (
+                    self.places[idx].timed or not _is_int(pattern.require)
+                    or pattern.require < 0):
                 raise ModelStructureError(
-                    f"transition {spec.name}: All(require=...) needs the "
-                    f"untimed place, {place_name} is timed"
+                    f"transition {spec.name}: All needs an untimed place and "
+                    f"an int count of 0 or more, got place {place_name} "
+                    f"and count {pattern.require!r}"
                 )
             in_arcs.append((idx, pattern))
         places = {idx for idx, _pattern in in_arcs}
@@ -333,6 +333,14 @@ def _grouped(tokens) -> list[tuple[Any, int, int]]:
     ]
 
 
+def _tokens(net: Net, store: list[list], place: str) -> list[tuple]:
+    """Sorted ``(value, timestamp, count)`` list; timestamp None if untimed."""
+    idx = net.place_index[place]
+    timed = net.places[idx].timed
+    return [(value, ts if timed else None, count)
+            for value, ts, count in _grouped(store[idx])]
+
+
 def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
     """Yield (value, timestamp, count) triples from user-supplied tokens.
 
@@ -414,13 +422,7 @@ class Marking:
         return len(self._store[self.net.place_index[place]])
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
-        """Sorted ``(value, timestamp, count)`` list; timestamp None if untimed."""
-        idx = self.net.place_index[place]
-        timed = self.net.places[idx].timed
-        return [
-            (value, ts if timed else None, count)
-            for value, ts, count in _grouped(self._store[idx])
-        ]
+        return _tokens(self.net, self._store, place)
 
     def __eq__(self, other):
         return (
@@ -517,12 +519,7 @@ class SimState:
         return len(self.store[self.net.place_index[place]])
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
-        idx = self.net.place_index[place]
-        timed = self.net.places[idx].timed
-        return [
-            (v, ts if timed else None, c)
-            for v, ts, c in _grouped(self.store[idx])
-        ]
+        return _tokens(self.net, self.store, place)
 
     def __repr__(self):
         return (

@@ -469,9 +469,9 @@ class TestStepAndRun:
 
 class TestAllArc:
     @staticmethod
-    def collector_net(require):
+    def collector_net(require, timed=False):
         b = NetBuilder()
-        b.place("pool", INT_SET)
+        b.place("pool", INT_SET, timed=timed)
         b.place("out", INT_SET)
         b.transition(
             "collect",
@@ -481,7 +481,7 @@ class TestAllArc:
         return b.build()
 
     def test_binds_whole_population_with_multiplicity(self):
-        net = self.collector_net(require=-1)
+        net = self.collector_net(require=3)
         state = state_of(net, Marking.empty(net).add_tokens("pool", [2, 1, 2]))
         [(_, assignment)] = enabled_bindings(net, state)
         assert assignment["xs"] == (1, 2, 2)
@@ -490,28 +490,31 @@ class TestAllArc:
         assert state.tokens("out") == [(5, None, 1)]
 
     def test_exact_count_gate(self):
-        net = self.collector_net(require=3)
-        marking = Marking.empty(net).add_tokens("pool", [1, 2])
-        state = state_of(net, marking)
-        assert enabled_bindings(net, state) == []
-        state = state_of(net, marking.add_tokens("pool", [3]))
-        [(_, assignment)] = enabled_bindings(net, state)
-        assert assignment["xs"] == (1, 2, 3)
+        # One token short of the count or one over disables the arc; a
+        # count of 0 binds the empty place to ().
+        for require, tokens in ((3, [3, 1, 2]), (0, [])):
+            net = self.collector_net(require=require)
+
+            def enabled(values):
+                marking = Marking.empty(net).add_tokens("pool", values)
+                return enabled_bindings(net, state_of(net, marking))
+
+            if tokens:
+                assert enabled(tokens[:-1]) == []
+            [(_, assignment)] = enabled(tokens)
+            assert assignment["xs"] == tuple(sorted(tokens))
+            assert enabled(tokens + [9]) == []
+
+    def test_count_is_required(self):
+        with pytest.raises(TypeError):
+            All("xs")
 
     def test_require_on_timed_place_rejected(self):
-        b = NetBuilder()
-        b.place("pool", INT_SET, timed=True)
-        b.place("out", INT_SET)
-        b.transition("collect", inputs=[("pool", All("xs", require=1))],
-                     outputs=[OutputArc("out", lambda v, s: 0)])
-        with pytest.raises(ModelStructureError):
-            b.build()
-
-    def test_empty_population_without_require_is_enabled(self):
-        net = self.collector_net(require=-1)
-        state = state_of(net, Marking.empty(net))
-        [(_, assignment)] = enabled_bindings(net, state)
-        assert assignment["xs"] == ()
+        # So are a negative and a non-int count on an untimed place.
+        for timed, require in ((True, 1), (False, -1), (False, 1.0),
+                               (False, True), (False, "1")):
+            with pytest.raises(ModelStructureError, match="transition collect"):
+                self.collector_net(require=require, timed=timed)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +568,8 @@ class TestNetValidation:
     @pytest.mark.parametrize("inputs", [
         [("a", Var("x")), ("a", Var("y"))],
         [("a", Var("x")), ("b", Var("x"))],
-        [("a", All("xs")), ("a", Var("y"))],
-        [("a", All("x")), ("b", Var("x"))],
+        [("a", All("xs", 1)), ("a", Var("y"))],
+        [("a", All("x", 1)), ("b", Var("x"))],
     ], ids=["two-vars-one-place", "one-var-two-places",
             "all-and-var-one-place", "all-and-var-one-variable"])
     def test_input_arcs_need_their_own_place_and_variable(self, inputs):

@@ -48,9 +48,9 @@ def reference_bindings(net, store, now):
 
     Uses nothing of the kernel: transitions in name order; a Var arc's
     candidates are its place's sorted distinct ready values, an All
-    arc's value the sorted tuple of its ready values (an exact-count arc
-    needs exactly that many tokens, all ready); assignments are the
-    plain product, All variables first, then the guard.
+    arc's value the sorted tuple of its ready values (the arc needs
+    exactly its count of tokens, all ready); assignments are the plain
+    product, All variables first, then the guard.
     """
     found = []
     for t_idx, t in sorted(enumerate(net.transitions),
@@ -61,9 +61,8 @@ def reference_bindings(net, store, now):
             tokens = store[net.place_index[place]]
             ready = sorted(value for value, ts in tokens if ts <= now)
             if type(pattern) is All:
-                if pattern.require >= 0:
-                    whole = whole and (
-                        len(tokens) == len(ready) == pattern.require)
+                whole = whole and (
+                    len(tokens) == len(ready) == pattern.require)
                 fixed[pattern.name] = tuple(ready)
             else:
                 var_names.append(pattern.name)
@@ -307,10 +306,10 @@ def small_timed_nets(draw):
     """(net, marking, now): 1-3 places, 1-3 transitions, Var and All arcs.
 
     Each transition's input arcs draw their places and their variables
-    without replacement, from the places and a pool of three names.  An
-    All arc gets a count requirement only on an untimed place.  Timed
-    outputs have delay 0, a constant or a draw from the run's stream;
-    initial tokens may be stamped in the future.
+    without replacement, from the places and a pool of three names.  All
+    arcs, with a count from 0 to 2, are drawn only on untimed places.
+    Timed outputs have delay 0, a constant or a draw from the run's
+    stream; initial tokens may be stamped in the future.
     """
     n_places = draw(st.integers(1, 3))
     timed = [draw(st.booleans()) for _ in range(n_places)]
@@ -324,9 +323,8 @@ def small_timed_nets(draw):
                               max_size=len(places), unique=True))
         inputs = []
         for p, name in zip(places, names):
-            if draw(st.integers(0, 3)) == 0:
-                require = -1 if timed[p] else draw(st.integers(-1, 2))
-                inputs.append((f"p{p}", All(name, require)))
+            if not timed[p] and draw(st.integers(0, 3)) == 0:
+                inputs.append((f"p{p}", All(name, draw(st.integers(0, 2)))))
             else:
                 inputs.append((f"p{p}", Var(name)))
         outputs = []
