@@ -1,6 +1,6 @@
 """Timed coloured Petri net simulation toolkit.
 
-Subpackages and modules:
+Modules:
 
 - :mod:`cpnsim.engine`: generic timed CPN executor (places, markings,
   binding enumeration, firing, model-time advancement).
@@ -25,7 +25,6 @@ from cpnsim.engine import (
     advance_time,
     enabled_bindings,
     fire,
-    kernel_name,
     run,
     step,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "advance_time",
     "enabled_bindings",
     "fire",
-    "kernel_name",
     "run",
     "step",
     "__version__",

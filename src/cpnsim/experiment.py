@@ -23,7 +23,7 @@ from typing import NamedTuple
 from cpnsim.engine import DEFAULT_STEP_LIMIT, SimState, StepLimitExceeded, run
 from cpnsim.monitors import SceneRecord, attach_scene_monitor
 from cpnsim.raytrace import SCENARIOS, SceneConfig, ScenarioParams, build_net
-from cpnsim.stochastic import RngStream
+from cpnsim.stochastic import RngStream, seed_label
 
 logger = logging.getLogger(__name__)
 
@@ -138,11 +138,6 @@ class ExperimentResult:
     failed: list[FailedReplication] = field(default_factory=list)
 
 
-def _seed_label(seed_path: tuple[int, ...]) -> str:
-    """``base_seed:point_index:replication``, as ``RngStream.label`` writes it."""
-    return ":".join(map(str, seed_path))
-
-
 def _run_replication(scene: SceneConfig, params: ScenarioParams,
                      seed_path: tuple[int, ...], step_limit: int,
                      scenes_per_run: int) -> list[SceneRecord] | None:
@@ -176,7 +171,7 @@ def _replication_task(args):
         return _run_replication(scene, params, seed_path, step_limit,
                                 scenes_per_run)
     except Exception as exc:
-        seed = _seed_label(seed_path)
+        seed = seed_label(seed_path)
         logger.exception("replication failed: seed=%s", seed)
         return FailedReplication(scene.label, params.scenario, params.node_count,
                                  seed, f"{type(exc).__name__}: {exc}")
@@ -212,7 +207,7 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
                 result.failed.append(outcome)
                 continue
             if outcome is None:
-                seed = _seed_label((plan.base_seed, index, rep))
+                seed = seed_label((plan.base_seed, index, rep))
                 result.aborted.append(
                     AbortedReplication(scene.label, scenario, node_count, seed))
                 logger.warning(

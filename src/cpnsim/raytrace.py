@@ -89,6 +89,16 @@ class Node(NamedTuple):
     node_type: int
 
 
+def _check_int(field: str, value) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is an int.
+
+    Equal configs share one compiled net (:func:`build_net`), so an int
+    field takes no equal float or bool: 5000.0 would stamp float times.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Scene geometry plus its complexity, fixed or a uniform range."""
@@ -101,11 +111,14 @@ class SceneConfig:
 
     def __post_init__(self):
         for field in ("width", "height", "tile_width", "tile_height"):
+            _check_int(field, getattr(self, field))
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
         if self.tile_width > self.width or self.tile_height > self.height:
             raise ValueError("tile dimensions cannot exceed the scene")
         c = self.complexity
+        for bound in c if isinstance(c, tuple) else (c,):
+            _check_int("complexity", bound)
         if isinstance(c, tuple):
             if len(c) != 2 or not 0 <= c[0] <= c[1]:
                 raise ValueError(f"bad complexity range {c!r}")
@@ -153,6 +166,9 @@ class ScenarioParams:
     work_ms_per_kilopixel: float = 1.0
 
     def __post_init__(self):
+        for field in ("node_count", "chck_per_ms", "chck_max_mult",
+                      "recovery_max_ms"):
+            _check_int(field, getattr(self, field))
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -282,14 +298,8 @@ _NETS_CACHED = 8
 
 
 @lru_cache(maxsize=_NETS_CACHED)
-def _compiled_net(scene: SceneConfig, params: ScenarioParams,
-                  kinds: tuple[type, ...]) -> Net:
-    """The raytracing net of ``(scene, params)``, compiled once.
-
-    ``kinds``, the types of both configs' field values, is not read; it
-    only keys the cache, because 5000 and 5000.0 are equal but a net
-    built from one would put the other's type in its tokens.
-    """
+def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
+    """The raytracing net of ``(scene, params)``, compiled once."""
     tile_set = instance_set("TILE", Tile)
     node_set = instance_set("NODE", Node)
     tile_list_set = list_set("TILELIST", tile_set)
@@ -427,8 +437,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
     and ``node_count - 1`` client nodes, and an empty work list; only
     ``sendScene`` is enabled at time 0.
     """
-    kinds = tuple(map(type, (*vars(scene).values(), *vars(params).values())))
-    net = _compiled_net(scene, params, kinds)
+    net = _compiled_net(scene, params)
     # As counts, so add_tokens checks each node colour once, not per node.
     nodes = {Node(MASTER): 1}
     if params.node_count > 1:

@@ -21,6 +21,11 @@ import numpy as np
 UNIFORM_INT_MAX = 2**63 - 1
 
 
+def seed_label(seed_path) -> str:
+    """Compact textual form of a seed path, e.g. ``42:3:17``."""
+    return ":".join(map(str, seed_path))
+
+
 class RngStream:
     """One reproducible random stream, identified by its seed path."""
 
@@ -39,8 +44,8 @@ class RngStream:
 
     @property
     def label(self) -> str:
-        """Compact textual form of the seed path, e.g. ``42:3:17``."""
-        return ":".join(str(p) for p in self.seed_key)
+        """The seed path as :func:`seed_label` writes it."""
+        return seed_label(self.seed_key)
 
     def pick(self, n: int) -> int:
         """Uniform index in [0, n): the engine's tie-break draw."""

@@ -19,7 +19,8 @@ from cpnsim.engine import (
     StepLimitExceeded,
     TimeAdvanced,
     Var,
-    _kernel,
+    _refresh_memos,
+    _remove_value,
     advance_time,
     enabled_bindings,
     fire,
@@ -43,7 +44,7 @@ def assert_failed_firing_changes_nothing(net, state, error):
     raising would show.  The binding is still enabled afterwards.
     """
     [(name, binding)] = enabled_bindings(net, state)
-    assert _kernel._refresh_memos(net, state) == (
+    assert _refresh_memos(net, state) == (
         1, net.transition_index[name])
     before = ([list(tokens) for tokens in state.store], state.step_count,
               list(state.calendar), list(state.cache))
@@ -105,6 +106,20 @@ class TestAddTokens:
         assert before.tokens("p1") == after.tokens("p1") == [(1, None, 1)]
         assert after.tokens("p2") == [(4, None, 1)]
         assert before.count("p2") == 0
+
+
+@pytest.mark.parametrize("access", [
+    lambda marking, state: marking.add_tokens("ghost", [1]),
+    lambda marking, state: marking.count("ghost"),
+    lambda marking, state: marking.tokens("ghost"),
+    lambda marking, state: state.count("ghost"),
+    lambda marking, state: state.tokens("ghost"),
+], ids=["Marking.add_tokens", "Marking.count", "Marking.tokens",
+        "SimState.count", "SimState.tokens"])
+def test_unknown_place_is_a_structure_error(guard_net, access):
+    marking = Marking.empty(guard_net)
+    with pytest.raises(ModelStructureError, match="unknown place ghost"):
+        access(marking, state_of(guard_net, marking))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,7 @@ class TestFire:
         assert state.tokens("out") == [(2, None, 1)]
 
         place = [(value, 0) for value in tokens]
-        _kernel._remove_value(place, equal, 0)
+        _remove_value(place, equal, 0)
         expected = list(tokens)
         expected.remove(equal)
         assert place == [(value, 0) for value in expected]

@@ -29,9 +29,10 @@ from cpnsim.engine import (
     SimState,
     TimeAdvanced,
     Var,
-    _kernel,
+    _refresh_memos,
     advance_time,
     enabled_bindings,
+    enumerate_bindings,
     run,
     step,
 )
@@ -80,12 +81,12 @@ def reference_bindings(net, store, now):
 
 def check_state(net, state):
     """The memos and the calendar agree with the marking."""
-    n, last = _kernel._refresh_memos(net, state)
+    n, last = _refresh_memos(net, state)
     memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
              for assign in memo]
     assert len(memos) == n
     assert last == (memos[-1][0] if memos else -1)
-    assert memos == _kernel.enumerate_bindings(net, state.store, state.now)
+    assert memos == enumerate_bindings(net, state.store, state.now)
     reference = reference_bindings(net, state.store, state.now)
     assert memos == reference
     assert [list(a.items()) for _t, a in memos] == [
@@ -220,7 +221,7 @@ class TestStepReadsTheMemos:
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
         state = SimState(net, marking, PickStub(0, 6))
-        assert _kernel._refresh_memos(net, state) == (6, 2)
+        assert _refresh_memos(net, state) == (6, 2)
         assert [len(memo) for memo in state.cache] == [2, 0, 4]
         for k in range(6):
             state = SimState(net, marking, PickStub(k, 6))
@@ -233,7 +234,7 @@ class TestStepReadsTheMemos:
         net, _marking = self.gapped_net()
         marking = Marking.empty(net).add_tokens("p1", [3, 7])
         state = SimState(net, marking, NoPick())
-        assert _kernel._refresh_memos(net, state) == (1, 1)
+        assert _refresh_memos(net, state) == (1, 1)
         assert step(net, state) == Fired("b", {"x": 7}, 0)
         assert state.tokens("p1") == [(3, None, 1)]
 
@@ -257,7 +258,7 @@ class TestStepReadsTheMemos:
                    .add_tokens("p2", [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]))
         store, now = SimState(net, marking, RngStream(0)).store, 2
         expected = reference_bindings(net, store, now)
-        got = _kernel.enumerate_bindings(net, store, now)
+        got = enumerate_bindings(net, store, now)
         assert got == expected
         assert [list(a.items()) for _t, a in got] == [
             list(a.items()) for _t, a in expected]
@@ -356,7 +357,7 @@ def rescan_advance(net, state):
     pending = sorted({ts for pidx in net.timed_places
                       for _value, ts in state.store[pidx] if ts > state.now})
     for t in pending:
-        if _kernel.enumerate_bindings(net, state.store, t):
+        if enumerate_bindings(net, state.store, t):
             return t
     return None
 
@@ -368,7 +369,7 @@ def test_generated_nets_step_like_the_stateless_reference(case, seed):
     state = SimState(net, marking, RngStream(seed), now=now)
     check_state(net, state)
     for _ in range(30):
-        enabled = _kernel.enumerate_bindings(
+        enabled = enumerate_bindings(
             net, state.store, state.now)
         expected = None
         if not enabled:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cpnsim.raytrace as raytrace
 from cpnsim.engine import Fired, SimState, enabled_bindings, run
+from cpnsim.experiment import _run_replication
 from cpnsim.raytrace import (
     CLIENT,
     IDEAL,
@@ -316,12 +318,45 @@ class TestBuildNet:
         assert marking.tokens("newScene") != marking2.tokens("newScene")
         assert build_net(ranged, params(node_count=9), RngStream(1))[0] is not net
 
-    def test_equal_values_of_another_type_compile_another_net(self):
-        # A net built for chck_per_ms=5000 would stamp int delays where
-        # 5000.0 stamps floats.
-        net, _ = build_net(TINY, params(chck_per_ms=5000), RngStream(1))
-        other, _ = build_net(TINY, params(chck_per_ms=5000.0), RngStream(1))
-        assert other is not net
+    def test_int_fields_reject_other_types(self):
+        # Equal configs share one net, so 5000.0 must not pass for 5000:
+        # its net would stamp float model times.
+        for field, value in (("chck_per_ms", 5000.0), ("node_count", True),
+                             ("chck_max_mult", 6.0), ("recovery_max_ms", 1e6)):
+            with pytest.raises(ValueError, match=f"^{field} must be an int"):
+                params(**{field: value})
+        for field, value in (("width", 4000.0), ("tile_height", True),
+                             ("complexity", 1000.0),
+                             ("complexity", (500.0, 1500))):
+            config = dict(width=4000, height=3000, tile_width=1000,
+                          tile_height=750, complexity=1000)
+            config[field] = value
+            with pytest.raises(ValueError, match=f"^{field} must be an int"):
+                SceneConfig(**config)
+
+    @pytest.mark.parametrize("scenario", [IDEAL, REAL])
+    def test_ints_and_floats_in_float_fields_share_one_net(self, scenario,
+                                                           monkeypatch):
+        ints = dict(master_perf=1, send_mean_ms=20_000, send_var=10_000,
+                    comm_mean_ms=500, work_ms_per_complexity=50,
+                    work_ms_per_kilopixel=1)
+        as_int = params(3, scenario, **ints)
+        as_float = params(3, scenario, **{k: float(v) for k, v in ints.items()})
+        net, _ = build_net(TINY, as_int, RngStream(1))
+        assert build_net(TINY, as_float, RngStream(1))[0] is net
+
+        # Each on a net compiled for it alone, the two write the same
+        # records; repr tells an int from an equal float.
+        monkeypatch.setattr(raytrace, "_compiled_net",
+                            raytrace._compiled_net.__wrapped__)
+
+        def records(p):
+            return [_run_replication(TINY, p, (1, 0, rep), 100_000, 2)
+                    for rep in range(4)]
+
+        got = records(as_int)
+        assert all(r is not None and len(r) == 2 for r in got)
+        assert repr(got) == repr(records(as_float))
 
     def test_only_scene_distribution_enabled_at_start(self):
         rng = RngStream(1)

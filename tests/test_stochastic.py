@@ -12,6 +12,7 @@ from cpnsim.stochastic import (
     bernoulli,
     exponential_int,
     normal_int,
+    seed_label,
     uniform_int,
 )
 
@@ -159,6 +160,7 @@ class TestStreams:
     def test_label_joins_path_with_colons(self):
         assert stream(1, 0, 29).label == "1:0:29"
         assert stream(42).label == "42"
+        assert seed_label((1, 0, 29)) == "1:0:29"
 
     def test_pick_is_uniform_over_range(self):
         rng = stream(8)
