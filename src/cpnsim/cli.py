@@ -18,25 +18,16 @@ from pathlib import Path
 from cpnsim.engine import DEFAULT_STEP_LIMIT
 from cpnsim.experiment import (
     DEFAULT_NODE_COUNTS,
+    PARAM_NAMES,
     ExperimentPlan,
-    emit_csv,
-    emit_plotdata,
-    plotdata_path,
+    SweepPoint,
     run_experiment_detailed,
 )
-from cpnsim.monitors import write_records
-from cpnsim.raytrace import ScenarioParams, SceneConfig
+from cpnsim.raytrace import ScenarioParams, SceneConfig, SceneRecord
 
 DEFAULT_SCENES = ("10000x7500", "30000x22500")
 DEFAULT_TILE = "1000x750"
 DEFAULT_COMPLEXITY = 36500
-
-# ScenarioParams fields tunable via --param-<name>; node_count and
-# scenario are controlled by their own sweep flags.
-PARAM_NAMES = tuple(
-    f.name for f in dataclasses.fields(ScenarioParams)
-    if f.name not in ("node_count", "scenario")
-)
 
 
 def _dimensions(text: str) -> tuple[int, int]:
@@ -76,8 +67,101 @@ def _node_counts(text: str) -> tuple[int, ...]:
     return tuple(counts)
 
 
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepPoint))
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SceneRecord))
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_rows(path, cls, sep: str, what: str) -> list:
+    """Rows of a ``what`` file written from the dataclass ``cls``.
+
+    The header is the field names joined by ``sep``; each later line is
+    one instance, each field parsed by its annotated type.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not lines or lines[0] != sep.join(names):
+        raise ValueError(f"{path}: not a {what} file")
+    kinds = typing.get_type_hints(cls)
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(sep)
+        if len(parts) != len(names):
+            raise ValueError(f"{path}: malformed row {line!r}")
+        rows.append(cls(*(kinds[n](part) for n, part in zip(names, parts))))
+    return rows
+
+
+def emit_csv(points, path) -> None:
+    """Write sweep points as CSV, sorted by (scene, scenario, nodes).
+
+    A point without completed replications has ``nan`` aggregates.
+    """
+    rows = sorted(points, key=lambda p: (p.scene, p.scenario, p.nodes))
+    lines = [CSV_HEADER]
+    for p in rows:
+        if p.replications:
+            aggregates = f"{p.mean_ms},{p.std_ms},{p.replications},{p.mean_failures}"
+        else:
+            aggregates = "nan,nan,0,nan"
+        lines.append(f"{p.scene},{p.scenario},{p.nodes},{aggregates}")
+    _write_lines(path, lines)
+
+
+def read_csv(path) -> list[SweepPoint]:
+    """Parse a file written by :func:`emit_csv`."""
+    return _read_rows(path, SweepPoint, ",", "sweep summary")
+
+
+def plotdata_path(out_dir, scene, scenario) -> Path:
+    """The file :func:`emit_plotdata` writes a (scene, scenario) series to."""
+    return Path(out_dir) / f"{scene}_{scenario}.dat"
+
+
+def emit_plotdata(points, out_dir) -> list[Path]:
+    """One <scene>_<scenario>.dat series per (scene, scenario).
+
+    Each file holds "nodes seconds" columns sorted by node count, ready
+    for gnuplot or similar.  Points without completed replications are
+    left out.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    series: dict[tuple[str, str], list[SweepPoint]] = {}
+    for p in points:
+        series.setdefault((p.scene, p.scenario), []).append(p)
+    written = []
+    for (scene, scenario) in sorted(series):
+        path = plotdata_path(out, scene, scenario)
+        lines = ["# nodes seconds"]
+        for p in sorted(series[(scene, scenario)], key=lambda p: p.nodes):
+            if p.replications:
+                lines.append(f"{p.nodes} {p.mean_ms / 1000}")
+        _write_lines(path, lines)
+        written.append(path)
+    return written
+
+
 def _records_path(out: Path, scene: str, scenario: str) -> Path:
     return out / f"records_{scene}_{scenario}.tsv"
+
+
+def write_records(records, path) -> None:
+    """Write scene records as tab-separated UTF-8 text with a header line."""
+    lines = ["\t".join(_RECORD_FIELDS)]
+    for r in records:
+        lines.append("\t".join(str(getattr(r, name)) for name in _RECORD_FIELDS))
+    _write_lines(path, lines)
+
+
+def read_records(path) -> list[SceneRecord]:
+    """Parse a file written by :func:`write_records`."""
+    return _read_rows(path, SceneRecord, "\t", "scene-record")
 
 
 def build_parser() -> argparse.ArgumentParser:

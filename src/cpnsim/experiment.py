@@ -16,18 +16,30 @@ from __future__ import annotations
 import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from cpnsim.engine import DEFAULT_STEP_LIMIT, SimState, StepLimitExceeded, run
-from cpnsim.monitors import SceneRecord, attach_scene_monitor
-from cpnsim.raytrace import SCENARIOS, SceneConfig, ScenarioParams, build_net
+from cpnsim.raytrace import (
+    SCENARIOS,
+    SceneConfig,
+    SceneRecord,
+    ScenarioParams,
+    attach_scene_monitor,
+    build_net,
+)
 from cpnsim.stochastic import RngStream, seed_label
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_NODE_COUNTS = tuple(range(1, 26))
+
+# ScenarioParams fields a plan may override; node_count and scenario
+# are swept by the plan itself.
+PARAM_NAMES = tuple(
+    f.name for f in fields(ScenarioParams)
+    if f.name not in ("node_count", "scenario")
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.scenes:
             raise ValueError("plan needs at least one scene")
+        for name in ("replications", "base_seed", "scenes_per_run",
+                     "step_limit", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not self.node_counts or min(self.node_counts) < 1:
             raise ValueError("node counts must all be >= 1")
         # A repeated point would write duplicate summary rows and plot
@@ -72,6 +89,9 @@ class ExperimentPlan:
         if self.step_limit < 1:
             raise ValueError("step limit must be >= 1")
         # Fail on bad parameter overrides now, not inside the sweep.
+        for name, _ in self.param_overrides:
+            if name not in PARAM_NAMES:
+                raise ValueError(f"cannot override parameter {name!r}")
         for s in self.scenarios:
             self.params_for(s, min(self.node_counts))
 
@@ -236,71 +256,3 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
 def run_experiment(plan: ExperimentPlan) -> list[SweepPoint]:
     """Aggregated sweep points for the plan (see run_experiment_detailed)."""
     return run_experiment_detailed(plan).points
-
-
-CSV_HEADER = "scene,scenario,nodes,mean_ms,std_ms,replications,mean_failures"
-
-
-def emit_csv(points, path) -> None:
-    """Write sweep points as CSV, sorted by (scene, scenario, nodes).
-
-    A point without completed replications has ``nan`` aggregates.
-    """
-    rows = sorted(points, key=lambda p: (p.scene, p.scenario, p.nodes))
-    lines = [CSV_HEADER]
-    for p in rows:
-        if p.replications:
-            aggregates = f"{p.mean_ms},{p.std_ms},{p.replications},{p.mean_failures}"
-        else:
-            aggregates = "nan,nan,0,nan"
-        lines.append(f"{p.scene},{p.scenario},{p.nodes},{aggregates}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path) -> list[SweepPoint]:
-    """Parse a file written by :func:`emit_csv`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: not a sweep summary file")
-    points = []
-    for line in lines[1:]:
-        scene, scenario, nodes, mean_ms, std_ms, reps, mean_failures = (
-            line.split(",")
-        )
-        points.append(
-            SweepPoint(scene, scenario, int(nodes), float(mean_ms),
-                       float(std_ms), int(reps), float(mean_failures))
-        )
-    return points
-
-
-def plotdata_path(out_dir, scene, scenario) -> Path:
-    """The file :func:`emit_plotdata` writes a (scene, scenario) series to."""
-    return Path(out_dir) / f"{scene}_{scenario}.dat"
-
-
-def emit_plotdata(points, out_dir) -> list[Path]:
-    """One <scene>_<scenario>.dat series per (scene, scenario).
-
-    Each file holds "nodes seconds" columns sorted by node count, ready
-    for gnuplot or similar.  Points without completed replications are
-    left out.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    series: dict[tuple[str, str], list[SweepPoint]] = {}
-    for p in points:
-        series.setdefault((p.scene, p.scenario), []).append(p)
-    written = []
-    for (scene, scenario) in sorted(series):
-        path = plotdata_path(out, scene, scenario)
-        lines = ["# nodes seconds"]
-        for p in sorted(series[(scene, scenario)], key=lambda p: p.nodes):
-            if p.replications:
-                lines.append(f"{p.nodes} {p.mean_ms / 1000}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
-    return written

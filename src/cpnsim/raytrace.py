@@ -35,6 +35,11 @@ every tile is computed and starts the next scene.
 A ``Net`` carries no run state, so :func:`build_net` compiles the net
 of a ``(scene, params)`` once and hands the same one to every call with
 equal arguments; each call makes a fresh initial marking.
+
+A :class:`SceneMonitor`, attached as a run hook, reads those
+transitions and emits one :class:`SceneRecord` per completed scene.  It
+never touches the marking or the RNG, so attaching it leaves the event
+trace unchanged.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ from typing import NamedTuple
 
 from cpnsim.engine import (
     All,
+    Fired,
     INT_SET,
     Marking,
     Net,
     NetBuilder,
     OutputArc,
+    SimState,
+    StepEvent,
     Var,
     instance_set,
     list_set,
@@ -97,6 +105,14 @@ def _check_int(field: str, value) -> None:
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{field} must be an int, got {value!r}")
+
+
+def _check_real(field: str, value) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is a finite int or float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an int or a float, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -166,13 +182,11 @@ class ScenarioParams:
     work_ms_per_kilopixel: float = 1.0
 
     def __post_init__(self):
-        for field in ("node_count", "chck_per_ms", "chck_max_mult",
-                      "recovery_max_ms"):
-            _check_int(field, getattr(self, field))
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "int":
+                _check_int(f.name, getattr(self, f.name))
+            elif f.type == "float":
+                _check_real(f.name, getattr(self, f.name))
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.scenario not in SCENARIOS:
@@ -450,3 +464,74 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         .add_tokens("preparedTiles", [((), 0)])
     )
     return net, marking
+
+
+@dataclass(frozen=True)
+class SceneRecord:
+    """One completed scene as observed by the monitor.
+
+    ``nodes_used`` is the peak number of simultaneously busy nodes;
+    with interchangeable node tokens that is the number of distinct
+    nodes the scene actually needed.  ``seed`` is the seed path label
+    of the run that produced the record.
+    """
+
+    scene_index: int
+    duration_ms: int
+    node_count: int
+    nodes_used: int
+    failures: int
+    complexity: int
+    seed: str
+
+
+class SceneMonitor:
+    """Collects a SceneRecord per completed scene; use as a run hook."""
+
+    def __init__(self):
+        self.records: list[SceneRecord] = []
+        self.scenes_completed = 0
+        self._start_ms = None
+        self._complexity = None
+        self._busy = 0
+        self._peak_busy = 0
+        self._failures = 0
+
+    def __call__(self, state: SimState, event: StepEvent) -> None:
+        if type(event) is not Fired:
+            return
+        name = event.transition
+        if name == "selectTile":
+            self._busy += 1
+            if self._busy > self._peak_busy:
+                self._peak_busy = self._busy
+        elif name in ("sendRtrTile", "returnTile"):
+            self._busy -= 1
+        elif name == "unsucRtrStart":
+            self._failures += 1
+        elif name == "sendScene":
+            self._start_ms = event.time
+            self._complexity = event.assignment["cmpl"]
+            self._peak_busy = self._busy
+            self._failures = 0
+        elif name == "completeScene":
+            node_count = state.tokens("nodesNo")[0][0]
+            self.records.append(
+                SceneRecord(
+                    scene_index=self.scenes_completed,
+                    duration_ms=event.time - self._start_ms,
+                    node_count=node_count,
+                    nodes_used=self._peak_busy,
+                    failures=self._failures,
+                    complexity=self._complexity,
+                    seed=state.rng.label,
+                )
+            )
+            self.scenes_completed += 1
+
+
+def attach_scene_monitor(hooks: list) -> SceneMonitor:
+    """Create a scene monitor and register it in ``hooks``."""
+    monitor = SceneMonitor()
+    hooks.append(monitor)
+    return monitor

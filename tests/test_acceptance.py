@@ -17,7 +17,6 @@ import pytest
 from cpnsim.engine import Fired, SimState, advance_time, enabled_bindings, fire, run, step
 from cpnsim.cli import main
 from cpnsim.experiment import ExperimentPlan, run_experiment
-from cpnsim.monitors import attach_scene_monitor
 from cpnsim.raytrace import (
     CLIENT,
     IDEAL,
@@ -29,6 +28,7 @@ from cpnsim.raytrace import (
     Tile,
     UNASSIGNED,
     assign_tile,
+    attach_scene_monitor,
     build_net,
     failure_detect_ms,
     make_tile_list,

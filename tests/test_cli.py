@@ -8,8 +8,8 @@ import pytest
 
 import cpnsim.cli as cli
 from cpnsim.cli import build_parser, main, plan_from_args
-from cpnsim.experiment import DEFAULT_NODE_COUNTS, read_csv
-from cpnsim.monitors import read_records
+from cpnsim.cli import read_csv, read_records
+from cpnsim.experiment import DEFAULT_NODE_COUNTS
 from cpnsim.raytrace import SceneConfig
 
 
@@ -151,6 +151,19 @@ class TestParsing:
     def test_tile_flag_changes_the_grid(self):
         plan = parse_plan(["--scene", "4000x3000", "--tile", "2000x1500"])
         assert plan.scenes[0].tile_count == 4
+
+
+class TestResultFiles:
+    def test_summary_header_is_the_sweep_point_fields(self):
+        assert cli.CSV_HEADER == (
+            "scene,scenario,nodes,mean_ms,std_ms,replications,mean_failures")
+
+    def test_short_summary_row_is_malformed(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text(cli.CSV_HEADER + "\ns,real,2,500.0,0.0,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed row"):
+            read_csv(path)
 
 
 class TestEndToEnd:

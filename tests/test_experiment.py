@@ -9,17 +9,14 @@ import statistics
 import pytest
 
 from cpnsim import experiment, raytrace
+from cpnsim.cli import CSV_HEADER, emit_csv, emit_plotdata, read_csv
 from cpnsim.experiment import (
-    CSV_HEADER,
     DEFAULT_NODE_COUNTS,
     AbortedReplication,
     ExperimentPlan,
     FailedReplication,
     SweepPoint,
     _run_replication,
-    emit_csv,
-    emit_plotdata,
-    read_csv,
     run_experiment,
     run_experiment_detailed,
 )
@@ -85,6 +82,20 @@ class TestPlan:
             tiny_plan(scenes=(TINY, SceneConfig(4_000, 3_000, 500, 500, 7)))
         with pytest.raises(ValueError):
             tiny_plan(scenarios=(REAL, IDEAL, REAL))
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5), ("base_seed", 1.0), ("scenes_per_run", 1.5),
+        ("step_limit", 1e6), ("jobs", True), ("replications", "2"),
+    ])
+    def test_int_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            tiny_plan(**{field: value})
+
+    @pytest.mark.parametrize("name", ["bogus", "node_count", "scenario"])
+    def test_overrides_must_name_a_tunable_parameter(self, name):
+        with pytest.raises(ValueError, match=f"parameter {name!r}"):
+            tiny_plan(param_overrides=((name, 3),))
 
 
 class TestAggregation:

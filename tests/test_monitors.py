@@ -5,14 +5,17 @@ from __future__ import annotations
 import pytest
 
 from cpnsim.engine import Fired, SimState, run
-from cpnsim.monitors import (
+from cpnsim.cli import read_records, write_records
+from cpnsim.raytrace import (
+    IDEAL,
+    REAL,
     SceneMonitor,
     SceneRecord,
+    ScenarioParams,
+    SceneConfig,
     attach_scene_monitor,
-    read_records,
-    write_records,
+    build_net,
 )
-from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream
 
 from helpers import TraceHook

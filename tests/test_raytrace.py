@@ -334,6 +334,16 @@ class TestBuildNet:
             with pytest.raises(ValueError, match=f"^{field} must be an int"):
                 SceneConfig(**config)
 
+    @pytest.mark.parametrize("field, value", [
+        ("send_mean_ms", "5"), ("client_success_p", None),
+        ("work_ms_per_complexity", [1]), ("master_perf", True),
+        ("comm_mean_ms", False),
+    ])
+    def test_float_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an int or a float"):
+            params(**{field: value})
+
     @pytest.mark.parametrize("scenario", [IDEAL, REAL])
     def test_ints_and_floats_in_float_fields_share_one_net(self, scenario,
                                                            monkeypatch):
