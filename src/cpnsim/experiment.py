@@ -4,7 +4,9 @@ A plan enumerates (scene, scenario, node count) sweep points in a fixed
 order; every replication of a point gets its own random stream derived
 from ``(base_seed, point_index, replication)``, so any subset of the
 sweep can be reproduced, and results do not depend on execution order
-even when replications run in parallel worker processes.
+even when replications run in parallel worker processes.  With
+``jobs == 1`` every replication runs in the calling process, and the
+process-pool modules are imported only by a sweep with ``jobs > 1``.
 
 A replication that hits the step limit is *aborted*; one that raises
 is *failed*.  Both are named by their seed path; neither stops the
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -64,8 +65,11 @@ class ExperimentPlan:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if not self.node_counts or min(self.node_counts) < 1:
-            raise ValueError("node counts must all be >= 1")
+        if not self.node_counts or any(
+                not isinstance(n, int) or isinstance(n, bool) or n < 1
+                for n in self.node_counts):
+            raise ValueError(
+                f"node_counts must be ints >= 1, got {self.node_counts!r}")
         # A repeated point would write duplicate summary rows and plot
         # values, and merge two points' records into one file.
         if len(set(self.node_counts)) != len(self.node_counts):
@@ -89,9 +93,12 @@ class ExperimentPlan:
         if self.step_limit < 1:
             raise ValueError("step limit must be >= 1")
         # Fail on bad parameter overrides now, not inside the sweep.
-        for name, _ in self.param_overrides:
+        names = [name for name, _ in self.param_overrides]
+        for name in names:
             if name not in PARAM_NAMES:
                 raise ValueError(f"cannot override parameter {name!r}")
+            if names.count(name) > 1:
+                raise ValueError(f"parameter {name!r} is overridden twice")
         for s in self.scenarios:
             self.params_for(s, min(self.node_counts))
 
@@ -210,6 +217,9 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
     """Run the full plan and keep raw records and abort reports."""
     args = list(_replication_args(plan))
     if plan.jobs > 1:
+        # Imported here, so that an in-process sweep never loads the pool stack.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork-started pool starts all of its workers at once.
         with ProcessPoolExecutor(max_workers=min(plan.jobs, len(args))) as pool:
             outcomes = list(pool.map(_replication_task, args, chunksize=4))

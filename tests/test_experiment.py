@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
 import statistics
@@ -82,6 +83,10 @@ class TestPlan:
             tiny_plan(scenes=(TINY, SceneConfig(4_000, 3_000, 500, 500, 7)))
         with pytest.raises(ValueError):
             tiny_plan(scenarios=(REAL, IDEAL, REAL))
+        with pytest.raises(ValueError, match="node_counts"):
+            tiny_plan(node_counts=(1, 2.5))
+        with pytest.raises(ValueError, match="node_counts"):
+            tiny_plan(node_counts=(2, True))
 
 
     @pytest.mark.parametrize("field, value", [
@@ -96,6 +101,11 @@ class TestPlan:
     def test_overrides_must_name_a_tunable_parameter(self, name):
         with pytest.raises(ValueError, match=f"parameter {name!r}"):
             tiny_plan(param_overrides=((name, 3),))
+
+    def test_an_override_names_its_parameter_once(self):
+        with pytest.raises(ValueError, match="parameter 'master_perf'"):
+            tiny_plan(param_overrides=(("master_perf", 0.5),
+                                       ("master_perf", 0.9)))
 
 
 class TestAggregation:
@@ -167,7 +177,9 @@ class TestAggregation:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        # The pool is imported when a sweep with jobs > 1 starts.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         seq = run_experiment_detailed(tiny_plan(jobs=1))
         par = run_experiment_detailed(tiny_plan(jobs=64))
         assert started == [2]

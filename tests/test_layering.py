@@ -1,8 +1,12 @@
-"""Module layering: which cpnsim modules each cpnsim module imports."""
+"""Module layering: which cpnsim modules each cpnsim module imports,
+and which standard-library modules an in-process sweep leaves loaded."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpnsim"
@@ -43,3 +47,26 @@ def test_import_graph_within_the_package():
     graph = {path.stem: package_imports(path)
              for path in PACKAGE.glob("*.py")}
     assert graph == LAYERS
+
+
+# Runs in a fresh interpreter: pytest itself may load multiprocessing.
+IN_PROCESS_SWEEP = """
+import sys
+from cpnsim import cli
+status = cli.main(["--scene", "4000x3000", "--complexity", "1000",
+                   "--nodes", "2", "--scenario", "ideal",
+                   "--replications", "1", "--out", sys.argv[1]])
+pool = sorted(m for m in sys.modules
+              for p in ("concurrent.futures", "multiprocessing")
+              if m == p or m.startswith(p + "."))
+print(status, pool)
+"""
+
+
+def test_an_in_process_sweep_loads_no_process_pool(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS_SWEEP, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "summary.csv").stat().st_size > 0
