@@ -134,7 +134,6 @@ __all__ = [
     "fire",
     "instance_set",
     "kernel_name",
-    "list_set",
     "run",
     "step",
 ]
@@ -167,20 +166,13 @@ class ColourSet:
     Token values must be mutually orderable within one place: the
     engine sorts candidate tokens for deterministic binding enumeration
     and groups equal ones by sorting, never by hashing.  ``contains``
-    is the exact membership test, applied wherever tokens enter from
-    outside the net (add_tokens).  ``quick`` is an O(1) spot check
-    applied to every token a firing produces; for scalar sets it equals
-    ``contains``, for container sets it only checks the container shape
-    so firing cost stays independent of the value size.
+    is the one membership test: ``add_tokens`` applies it to every token
+    that enters from outside the net, and a firing to every token it
+    produces.
     """
 
     name: str
     contains: Callable[[Any], bool]
-    quick: Callable[[Any], bool] | None = None
-
-    def __post_init__(self):
-        if self.quick is None:
-            object.__setattr__(self, "quick", self.contains)
 
     def __repr__(self):
         return f"ColourSet({self.name})"
@@ -196,22 +188,6 @@ INT_SET = ColourSet("INT", _is_int)
 def instance_set(name: str, cls: type) -> ColourSet:
     """Colour set of all instances of an orderable class."""
     return ColourSet(name, lambda v: isinstance(v, cls))
-
-
-def list_set(name: str, element: ColourSet) -> ColourSet:
-    """Colour set of tuples whose elements all belong to ``element``.
-
-    Lists are represented as tuples so a token cannot change while it
-    sits in a place, and arc expressions build a new list instead of
-    editing the one they consumed.  The per-firing spot check only
-    verifies the tuple shape and the first element, keeping firing cost
-    independent of the list length.
-    """
-    return ColourSet(
-        name,
-        lambda v: isinstance(v, tuple) and all(element.contains(e) for e in v),
-        lambda v: isinstance(v, tuple) and (not v or element.contains(v[0])),
-    )
 
 
 @dataclass(frozen=True)
@@ -581,8 +557,10 @@ class SimState:
     def __init__(self, net: Net, marking: Marking, rng, now: int = 0):
         if marking.net is not net:
             raise ModelStructureError("marking belongs to a different net")
-        if now < 0:
-            raise ModelStructureError("model time must be non-negative")
+        # A firing stamps ``now`` plus a delay: int ms, as add_tokens checks.
+        if not _is_int(now) or now < 0:
+            raise ModelStructureError(
+                f"model time must be an int of 0 or more, got {now!r}")
         self.net = net
         self.store: list[list] = marking._copy_store()
         self.now: int = now
@@ -733,9 +711,8 @@ def _remove_value(tokens, value, now):
     The place is sorted by timestamp, in arrival order among equal
     ones, so that is the first equal token, and the scan ends at the
     first pending token.  The bound value is the very object enumeration
-    read from this place, so identity is tested first: a large value,
-    such as a long list token, is then not compared with itself element
-    by element.
+    read from this place, so identity is tested first: it spares a
+    field-by-field comparison of tuple values such as nodes and tiles.
     """
     for i, (v, ts) in enumerate(tokens):
         if ts > now:
@@ -762,7 +739,7 @@ def _emitter(t_name, place, arc):
     negative delay.
     """
     expr, delay = arc.expr, arc.delay
-    check = place.colour.quick
+    check = place.colour.contains
 
     if callable(delay):
         def emit(assign, state, now):

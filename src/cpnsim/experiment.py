@@ -77,6 +77,8 @@ class ExperimentPlan:
         labels = [scene.label for scene in self.scenes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate scenes in {labels}")
+        if not self.scenarios:
+            raise ValueError("scenarios must not be empty")
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario {s!r}")

@@ -16,8 +16,10 @@ Places of the net:
 - ``nodesNo``: the configured cluster size (read, never changed).
 - ``freeNodes``: one token per node currently free.
 - ``scStartTime``: firing time of the current scene's ``sendScene``.
-- ``preparedTiles``: the work list, a single list token (timed: it
-  becomes available once scene distribution finishes).
+- ``preparedTiles``: the work list, a single :class:`WorkList` token
+  (timed: it becomes available once scene distribution finishes).  A
+  hand-out moves its ``start`` past the head tile and shares the tuple,
+  so it copies nothing.
 - ``prepTile``: a tile just assigned to a node, not yet started.
 - ``raytrTiles``: tiles being raytraced (timed by work + comm delay).
 - ``unsrRaytrTiles``: failed tiles waiting for failure detection.
@@ -61,7 +63,6 @@ from cpnsim.engine import (
     StepEvent,
     Var,
     instance_set,
-    list_set,
 )
 from cpnsim.stochastic import (
     UNIFORM_INT_MAX,
@@ -95,6 +96,13 @@ class Node(NamedTuple):
     """A cluster node; only its type is observable."""
 
     node_type: int
+
+
+class WorkList(NamedTuple):
+    """The master's work list: the tiles ``tiles[start:]``, head first."""
+
+    tiles: tuple[Tile, ...] = ()
+    start: int = 0
 
 
 def _check_int(field: str, value) -> None:
@@ -316,14 +324,14 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
     """The raytracing net of ``(scene, params)``, compiled once."""
     tile_set = instance_set("TILE", Tile)
     node_set = instance_set("NODE", Node)
-    tile_list_set = list_set("TILELIST", tile_set)
+    work_set = instance_set("TILELIST", WorkList)
 
     b = NetBuilder()
     b.place("newScene", INT_SET)
     b.place("nodesNo", INT_SET)
     b.place("freeNodes", node_set)
     b.place("scStartTime", INT_SET)
-    b.place("preparedTiles", tile_list_set, timed=True)
+    b.place("preparedTiles", work_set, timed=True)
     b.place("prepTile", tile_set)
     b.place("raytrTiles", tile_set, timed=True)
     b.place("unsrRaytrTiles", tile_set, timed=True)
@@ -342,7 +350,7 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
             OutputArc("scStartTime", lambda v, s: s.now),
             OutputArc(
                 "preparedTiles",
-                lambda v, s: make_tile_list(scene, v["cmpl"], s.rng),
+                lambda v, s: WorkList(make_tile_list(scene, v["cmpl"], s.rng)),
                 delay=lambda v, s: (v["n_nodes"] - 1)
                 * normal_int(s.rng, params.send_mean_ms, params.send_var),
             ),
@@ -352,14 +360,18 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
     b.transition(
         "selectTile",
         inputs=[("freeNodes", Var("node")),
-                ("preparedTiles", Var("tiles"))],
-        guard=lambda v: len(v["tiles"]) > 0,
+                ("preparedTiles", Var("work"))],
+        guard=lambda v: v["work"].start < len(v["work"].tiles),
         outputs=[
             OutputArc(
                 "prepTile",
-                lambda v, s: assign_tile(v["tiles"][0], v["node"], params, s.rng),
+                lambda v, s: assign_tile(v["work"].tiles[v["work"].start],
+                                         v["node"], params, s.rng),
             ),
-            OutputArc("preparedTiles", lambda v, s: v["tiles"][1:]),
+            OutputArc(
+                "preparedTiles",
+                lambda v, s: WorkList(v["work"].tiles, v["work"].start + 1),
+            ),
         ],
     )
 
@@ -402,11 +414,12 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
     b.transition(
         "returnTile",
         inputs=[("unsrRaytrTiles", Var("tile")),
-                ("preparedTiles", Var("tiles"))],
+                ("preparedTiles", Var("work"))],
         outputs=[
             OutputArc(
                 "preparedTiles",
-                lambda v, s: v["tiles"] + (_reset(v["tile"]),),
+                lambda v, s: WorkList(v["work"].tiles[v["work"].start:]
+                                      + (_reset(v["tile"]),)),
             ),
             OutputArc(
                 "invalidNodes",
@@ -424,16 +437,17 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
 
     # The whole tile population must sit in computedTiles and the work
     # list must be empty; tile conservation then guarantees nothing is
-    # still assigned, raytracing, or awaiting failure detection.
+    # still assigned, raytracing, or awaiting failure detection.  The
+    # next scene's work list is the empty one, not the drained tuple.
     b.transition(
         "completeScene",
         inputs=[("computedTiles", All("done", require=scene.tile_count)),
-                ("preparedTiles", Var("tiles")),
+                ("preparedTiles", Var("work")),
                 ("scStartTime", Var("started"))],
-        guard=lambda v: v["tiles"] == (),
+        guard=lambda v: v["work"].start == len(v["work"].tiles),
         outputs=[
             OutputArc("newScene", lambda v, s: scene.draw_complexity(s.rng)),
-            OutputArc("preparedTiles", lambda v, s: v["tiles"]),
+            OutputArc("preparedTiles", lambda v, s: WorkList()),
         ],
     )
 
@@ -461,7 +475,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
         .add_tokens("newScene", [scene.draw_complexity(rng)])
         .add_tokens("nodesNo", [params.node_count])
         .add_tokens("freeNodes", nodes)
-        .add_tokens("preparedTiles", [((), 0)])
+        .add_tokens("preparedTiles", [(WorkList(), 0)])
     )
     return net, marking
 

@@ -117,12 +117,13 @@ class RaytraceInvariantHook:
         lists = state.tokens("preparedTiles")
         assert state.count("preparedTiles") == 1 and lists[0][2] == 1, (
             "preparedTiles must hold exactly one list token")
-        queued = len(lists[0][0])
+        work = lists[0][0]
+        queued = work.tiles[work.start:]
 
         if self.in_scene:
-            total = queued + busy + state.count("computedTiles")
+            total = len(queued) + busy + state.count("computedTiles")
             assert total == self.scene.tile_count, "tile conservation violated"
-            cmpl = sum(t.complexity for t in lists[0][0])
+            cmpl = sum(t.complexity for t in queued)
             for place in ("prepTile", "raytrTiles", "unsrRaytrTiles",
                           "computedTiles"):
                 cmpl += sum(v.complexity * c for v, _ts, c in state.tokens(place))

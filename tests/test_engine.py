@@ -24,7 +24,7 @@ from cpnsim.engine import (
     advance_time,
     enabled_bindings,
     fire,
-    list_set,
+    instance_set,
     run,
     step,
 )
@@ -90,6 +90,15 @@ class TestAddTokens:
         with pytest.raises(ModelStructureError):
             Marking.empty(guard_net).add_tokens("p1", [(1, 5)])
 
+    @pytest.mark.parametrize("token, message", [
+        (1, "timestamp"), ((1,), "timestamp"), ((1, 0.5), "timestamp"),
+        ((1, -1), "negative timestamp"),
+    ])
+    def test_bad_timed_tokens_rejected(self, token, message):
+        net, _marking = build_delay_net(with_consumer=False)
+        with pytest.raises(ModelStructureError, match=message):
+            Marking.empty(net).add_tokens("tp1", [token])
+
     @pytest.mark.parametrize("count", [0, -1, 2.5])
     def test_bad_token_counts_rejected(self, guard_net, count):
         with pytest.raises(ModelStructureError):
@@ -120,6 +129,21 @@ def test_unknown_place_is_a_structure_error(guard_net, access):
     marking = Marking.empty(guard_net)
     with pytest.raises(ModelStructureError, match="unknown place ghost"):
         access(marking, state_of(guard_net, marking))
+
+
+# 0.5 would stamp tp2 at 10.5, and True is no clock either.
+@pytest.mark.parametrize("now", [-1, 0.5, True])
+def test_state_clock_is_an_int_of_zero_or_more(now):
+    net, marking = build_delay_net(with_consumer=False)
+    with pytest.raises(ModelStructureError, match="model time"):
+        SimState(net, marking, RngStream(1), now=now)
+
+
+def test_state_takes_only_a_marking_of_its_net():
+    net, _marking = build_delay_net(with_consumer=False)
+    _other_net, other = build_delay_net(with_consumer=False)
+    with pytest.raises(ModelStructureError, match="different net"):
+        SimState(net, other, RngStream(1))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +278,7 @@ class TestFire:
     ], ids=["one-token", "several-tokens"])
     def test_consumption_matches_values_by_equality(self, tokens, left):
         b = NetBuilder()
-        b.place("a", list_set("L", INT_SET))
+        b.place("a", instance_set("L", tuple))
         b.place("out", INT_SET)
         b.transition("t", inputs=[("a", Var("xs"))],
                      outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])
@@ -571,22 +595,29 @@ class TestNetValidation:
                 b.build()
 
     def test_produced_value_outside_colour_set_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("out", lambda v, s: str(v["x"]))])
-        net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
-        assert_failed_firing_changes_nothing(net, state, ModelStructureError)
+        # Each output shape (untimed, constant delay, delay function)
+        # has its own emitter, and each checks the colour.
+        for timed, delay in ((False, 0), (True, 3), (True, lambda v, s: 3)):
+            b = NetBuilder()
+            b.place("a", INT_SET)
+            b.place("out", INT_SET, timed=timed)
+            b.transition("t", inputs=[("a", Var("x"))],
+                         outputs=[OutputArc("out", lambda v, s: str(v["x"]),
+                                            delay)])
+            net = b.build()
+            state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
+            assert_failed_firing_changes_nothing(net, state,
+                                                 ModelStructureError)
 
     @pytest.mark.parametrize("inputs", [
         [("a", Var("x")), ("a", Var("y"))],
         [("a", Var("x")), ("b", Var("x"))],
         [("a", All("xs", 1)), ("a", Var("y"))],
         [("a", All("x", 1)), ("b", Var("x"))],
+        [("a", "x")],
     ], ids=["two-vars-one-place", "one-var-two-places",
-            "all-and-var-one-place", "all-and-var-one-variable"])
+            "all-and-var-one-place", "all-and-var-one-variable",
+            "unknown-pattern"])
     def test_input_arcs_need_their_own_place_and_variable(self, inputs):
         b = NetBuilder()
         b.place("a", INT_SET)

@@ -87,6 +87,8 @@ class TestPlan:
             tiny_plan(node_counts=(1, 2.5))
         with pytest.raises(ValueError, match="node_counts"):
             tiny_plan(node_counts=(2, True))
+        with pytest.raises(ValueError, match="scenarios"):
+            tiny_plan(scenarios=())
 
 
     @pytest.mark.parametrize("field, value", [

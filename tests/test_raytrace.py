@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cpnsim.raytrace as raytrace
-from cpnsim.engine import Fired, SimState, enabled_bindings, run
+from cpnsim.engine import Fired, SimState, enabled_bindings, run, step
 from cpnsim.experiment import _run_replication
 from cpnsim.raytrace import (
     CLIENT,
@@ -18,6 +18,7 @@ from cpnsim.raytrace import (
     SceneConfig,
     Tile,
     UNASSIGNED,
+    WorkList,
     assign_tile,
     build_net,
     comm_delay_ms,
@@ -55,6 +56,12 @@ def run_scenes(scene, p, seed=1, scenes=1):
     run(net, state, stop=lambda st, ev: len(completed) >= scenes,
         hooks=[hook, watch])
     return state, hook, completed
+
+
+def work_list(state):
+    """The one WorkList token on preparedTiles."""
+    [(work, _ts, _count)] = state.tokens("preparedTiles")
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +256,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SceneConfig(500, 500, 1_000, 750, 0)
 
+    @pytest.mark.parametrize("field", ["width", "height", "tile_width",
+                                       "tile_height"])
+    def test_scene_rejects_sizes_below_one(self, field):
+        config = dict(width=4000, height=3000, tile_width=1000,
+                      tile_height=750, complexity=1000)
+        config[field] = 0
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            SceneConfig(**config)
+
     def test_scene_rejects_bad_complexity_range(self):
         with pytest.raises(ValueError):
             SceneConfig(1_000, 750, 1_000, 750, (10, 5))
@@ -280,6 +296,10 @@ class TestConfigs:
             params(client_success_p=1.5)
         with pytest.raises(ValueError):
             params(chck_per_ms=0)
+        for field in ("send_mean_ms", "send_var", "comm_mean_ms",
+                      "work_ms_per_complexity", "work_ms_per_kilopixel"):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+                params(**{field: -0.5})
         # uniform_int passes these upper bounds to numpy's int64 draws.
         for field in ("recovery_max_ms", "chck_max_mult"):
             with pytest.raises(ValueError, match=field):
@@ -300,7 +320,7 @@ class TestBuildNet:
         assert marking.tokens("nodesNo") == [(8, None, 1)]
         assert marking.tokens("freeNodes") == [
             (Node(MASTER), None, 1), (Node(CLIENT), None, 7)]
-        assert marking.tokens("preparedTiles") == [((), 0, 1)]
+        assert marking.tokens("preparedTiles") == [(WorkList(), 0, 1)]
         assert marking.count("scStartTime") == 0
         for place in ("prepTile", "raytrTiles", "unsrRaytrTiles",
                       "computedTiles", "invalidNodes"):
@@ -378,11 +398,10 @@ class TestBuildNet:
         rng = RngStream(1)
         net, marking = build_net(TINY, params(node_count=1), rng)
         state = SimState(net, marking, rng)
-        from cpnsim.engine import step
         event = step(state.net, state)
         assert event.transition == "sendScene"
         [(tiles, ts, count)] = state.tokens("preparedTiles")
-        assert ts == 0 and count == 1 and len(tiles) == TINY.tile_count
+        assert ts == 0 and count == 1 and len(tiles.tiles) == TINY.tile_count
         assert state.tokens("scStartTime") == [(0, None, 1)]
 
     def test_distribution_delay_scales_with_cluster_size(self):
@@ -392,7 +411,6 @@ class TestBuildNet:
         p = params(node_count=5, send_var=0)
         net, marking = build_net(TINY, p, rng)
         state = SimState(net, marking, rng)
-        from cpnsim.engine import step
         step(net, state)
         [(_, ts, _)] = state.tokens("preparedTiles")
         assert ts == 4 * 20_000
@@ -431,7 +449,7 @@ class TestRuns:
         assert completed == sorted(completed)
         # The net is ready for the next scene: work list empty, all
         # nodes free, a fresh complexity drawn.
-        assert state.tokens("preparedTiles")[0][0] == ()
+        assert state.tokens("preparedTiles")[0][0] == WorkList()
         assert state.count("freeNodes") == 8
         assert state.count("newScene") == 1
 
@@ -457,3 +475,44 @@ class TestRuns:
                    else None,
                    RaytraceInvariantHook(TINY, p)])
         assert done and returned
+
+    def test_selecting_a_tile_shares_the_work_list(self):
+        rng = RngStream(1)
+        net, marking = build_net(TINY, params(scenario=IDEAL), rng)
+        state = SimState(net, marking, rng)
+        for _ in range(10_000):
+            before = work_list(state)
+            event = step(net, state)
+            if type(event) is Fired and event.transition == "selectTile":
+                break
+        else:
+            pytest.fail("no tile was selected")
+        after = work_list(state)
+        assert before.tiles and after.tiles is before.tiles
+        assert after.start == before.start + 1
+
+    def test_returned_tiles_go_last_and_a_scene_ends_empty(self):
+        # The failure-heavy run of test_failed_tiles_are_requeued_not_lost.
+        p = params(scenario=REAL, client_success_p=0.5)
+        rng = RngStream(13)
+        net, marking = build_net(TINY, p, rng)
+        state = SimState(net, marking, rng)
+        returned = 0
+        for _ in range(10_000):
+            before = work_list(state)
+            event = step(net, state)
+            if type(event) is not Fired:
+                continue
+            if event.transition == "returnTile":
+                after = work_list(state)
+                reset = event.assignment["tile"]._replace(
+                    will_succeed=True, node_type=UNASSIGNED)
+                assert after.start == 0
+                assert after.tiles == before.tiles[before.start:] + (reset,)
+                returned += 1
+            elif event.transition == "completeScene":
+                break
+        else:
+            pytest.fail("the scene never completed")
+        assert returned
+        assert work_list(state) == WorkList()
