@@ -47,8 +47,8 @@ Every transition is compiled once, when its ``Net`` is built
   order ``expr`` then ``delay``, with its colour and negative-delay
   checks, and only then consumes the inputs and adds the outputs.  A
   firing that raises, whether in a check or in an arc expression,
-  leaves the marking, ``step_count``, the calendar and the memos as
-  they were; RNG draws that earlier arcs already made are not undone.
+  leaves the marking, ``step_count`` and the memos as they were; RNG
+  draws that earlier arcs already made are not undone.
   Each output's colour check, timedness and constant or function delay
   are fixed at build time.
 
@@ -73,7 +73,7 @@ time, of the memos it clears on every firing: those of the watchers of
 its input places, of its untimed output places and of its timed output
 places with constant delay 0.  Only a delay function that returns 0
 clears more, its place's watchers, at run time; a token stamped later
-changes nothing until the calendar reaches it.  ``step`` makes one pass
+changes nothing until the clock reaches it.  ``step`` makes one pass
 over the memos (:func:`_refresh_memos`) that rebuilds the cleared ones,
 sums their lengths to get the number ``n`` of enabled bindings and
 notes the last transition with a non-empty memo.  With ``n == 1``, the
@@ -82,30 +82,26 @@ pass; only with ``n > 1`` does ``step`` draw ``k`` and walk the memos
 in transition order to the ``k``-th binding.  It builds no list of all
 bindings.
 
-Time advance runs off the event calendar ``state.calendar``, a min-heap
-of ``(timestamp, place index)`` entries for the tokens stamped later
-than ``now``.  Its invariant: the set of its entries equals the set of
-``(timestamp, place index)`` pairs of those tokens (an entry may repeat,
-one per token produced).  Firings push one entry per token they stamp
-in the future, and only ready tokens are consumed, so no entry outlives
-its token.  When
-nothing is enabled, ``step`` pops every entry at the earliest
-timestamp, clears the memos of those places' watchers, moves the clock
-there and rebuilds the cleared memos, repeating until their lengths
-sum to more than zero.  Memos it did not clear stay valid at the new
-time, because none of their input places gained a ready token.  The
-memos built at the new time are the ones the next firing uses, so an
-advance enumerates each transition at most once per candidate time
-and scans no token.  With the calendar empty the marking is dead: the
-clock and the calendar are put back, and the memos, all empty, are
-what enumeration at the old time gives too.
+Time advance reads the store.  A timed place is sorted by timestamp,
+so its first pending token, stamped later than ``now``, comes right
+after its ready prefix.  When nothing is enabled, ``step`` takes the
+least first-pending stamp over the timed places as the next time,
+clears the memos of the watchers of every place whose first pending
+stamp is that time (a tie clears every such place's watchers), moves
+the clock there and rebuilds the cleared memos, repeating until their
+lengths sum to more than zero.  Memos it did not clear stay valid at
+the new time, because none of their input places gained a ready
+token.  The memos built at the new time are the ones the next firing
+uses, so an advance enumerates each transition at most once per
+candidate time.  With no pending token left the marking is dead: the
+clock is put back, and the memos, all empty, are what enumeration at
+the old time gives too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import groupby, product
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
@@ -238,8 +234,8 @@ class OutputArc:
     output arc, ``expr`` then ``delay`` in arc order, before it consumes
     any input token, so an expression sees the marking as it was when
     the binding was enabled, and one that raises leaves the marking,
-    ``step_count``, the calendar and the memos as they were (RNG draws
-    already made by earlier arcs are not undone).  All randomness must
+    ``step_count`` and the memos as they were (RNG draws already made
+    by earlier arcs are not undone).  All randomness must
     live in ``expr``/``delay`` (via ``state.rng``), never in guards.
     """
 
@@ -548,11 +544,11 @@ class SimState:
 
     A state is owned by exactly one run; the engine mutates it in place.
     Arc expressions receive the state and may read ``now`` and draw from
-    ``rng``.  ``store`` is the token store and ``calendar`` the event
-    calendar of the module docstring, which states their invariants.
+    ``rng``.  ``store`` is the token store of the module docstring,
+    which states its invariants.
     """
 
-    __slots__ = ("net", "store", "now", "rng", "step_count", "cache", "calendar")
+    __slots__ = ("net", "store", "now", "rng", "step_count", "cache")
 
     def __init__(self, net: Net, marking: Marking, rng, now: int = 0):
         if marking.net is not net:
@@ -570,13 +566,6 @@ class SimState:
         # Maintained by the engine, keyed to (store, now) mutations, so
         # states must only be mutated through the engine API.
         self.cache: list = [None] * len(net.transitions)
-        self.calendar: list[tuple[int, int]] = [
-            (ts, pidx)
-            for pidx in net.timed_places
-            for _value, ts in self.store[pidx]
-            if ts > now
-        ]
-        heapify(self.calendar)
 
     def count(self, place: str) -> int:
         return len(self.store[_index_of(self.net, place)])
@@ -807,7 +796,7 @@ def compile_transition(net, spec, in_arcs, out_arcs):
 
     def fire(state, assign):
         # Evaluate every output before consuming: a raise leaves the
-        # marking, step count, calendar and memos as they were.
+        # marking, step count and memos as they were.
         now = state.now
         made = []
         for emit in emits:
@@ -828,9 +817,7 @@ def compile_transition(net, spec, in_arcs, out_arcs):
                 store[p].append(tok)
                 continue
             insort(store[p], tok, key=_stamp)
-            if tok[1] > now:
-                heappush(state.calendar, (tok[1], p))
-            else:
+            if tok[1] <= now:
                 for w in late:
                     cache[w] = None
         state.step_count += 1
@@ -894,26 +881,34 @@ def step(net, state):
         t = net.transitions[t_idx]
         t.fire(state, assign)
         return Fired(t.name, assign, state.now)
-    previous = state.now
-    calendar = state.calendar
-    cache = state.cache
+    previous = now = state.now
+    store, cache = state.store, state.cache
     watchers = net.place_watchers
-    popped = []
-    while calendar:
-        t = calendar[0][0]
-        while calendar and calendar[0][0] == t:
-            entry = heappop(calendar)
-            popped.append(entry)
-            for w in watchers[entry[1]]:
+    while True:
+        # The least first-pending stamp, and every place stamped so.
+        t, due = None, []
+        for p in net.timed_places:
+            tokens = store[p]
+            if not tokens or tokens[-1][1] <= now:
+                continue
+            ts = tokens[0][1]
+            if ts <= now:
+                ts = tokens[bisect_right(tokens, now, key=_stamp)][1]
+            if t is None or ts < t:
+                t, due = ts, [p]
+            elif ts == t:
+                due.append(p)
+        if t is None:
+            # Dead: put the clock back.  Every memo is empty, as at
+            # ``previous``.
+            state.now = previous
+            return DeadMarking(previous)
+        for p in due:
+            for w in watchers[p]:
                 cache[w] = None
-        state.now = t
+        state.now = now = t
         if _refresh_memos(net, state)[0]:
             return TimeAdvanced(previous, t)
-    # Dead: put the clock and the calendar back; entries popped in order
-    # already form a heap.  Every memo is empty, as at ``previous``.
-    state.now = previous
-    calendar.extend(popped)
-    return DeadMarking(previous)
 
 
 def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):
@@ -988,10 +983,11 @@ def advance_time(net, state):
     while a binding is enabled raises :class:`FiringError`.  The state's
     clock is not modified; use :func:`step` to actually advance.
     """
-    store = state.store
-    if enumerate_bindings(net, store, state.now):
+    store, now = state.store, state.now
+    if enumerate_bindings(net, store, now):
         raise FiringError("advance_time called while a binding is enabled")
-    for t in sorted({ts for ts, _pidx in state.calendar}):
+    for t in sorted({ts for p in net.timed_places
+                     for _value, ts in store[p] if ts > now}):
         if enumerate_bindings(net, store, t):
             return t
     return None

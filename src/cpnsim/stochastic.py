@@ -35,7 +35,7 @@ class RngStream:
         if not seed_path:
             raise ValueError("seed path must contain at least one integer")
         for part in seed_path:
-            if not isinstance(part, int) or part < 0:
+            if not isinstance(part, int) or isinstance(part, bool) or part < 0:
                 raise ValueError(f"seed path entries must be ints >= 0: {part!r}")
         self.seed_key: tuple[int, ...] = tuple(seed_path)
         self._gen = np.random.Generator(

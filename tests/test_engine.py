@@ -47,13 +47,13 @@ def assert_failed_firing_changes_nothing(net, state, error):
     assert _refresh_memos(net, state) == (
         1, net.transition_index[name])
     before = ([list(tokens) for tokens in state.store], state.step_count,
-              list(state.calendar), list(state.cache))
+              list(state.cache))
     for attempt in (lambda: fire(net, state, name, binding),
                     lambda: step(net, state)):
         with pytest.raises(error):
             attempt()
         assert ([list(tokens) for tokens in state.store], state.step_count,
-                list(state.calendar), list(state.cache)) == before
+                list(state.cache)) == before
         assert enabled_bindings(net, state) == [(name, binding)]
 
 
@@ -262,11 +262,10 @@ class TestFire:
     def test_binding_not_enumerated_is_rejected(self, guard_net, p1, p2,
                                                 assignment):
         state = state_of(guard_net, guard_net_marking(guard_net, p1, p2))
-        before = ([list(tokens) for tokens in state.store],
-                  state.step_count, list(state.calendar))
+        before = ([list(tokens) for tokens in state.store], state.step_count)
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", assignment)
-        assert (state.store, state.step_count, state.calendar) == before
+        assert (state.store, state.step_count) == before
 
     # A bound value equal to, but not the same object as, the token's:
     # on a place of one token and on a place of several.  ``fire``
@@ -372,12 +371,33 @@ class TestAdvanceTime:
         marking = Marking.empty(net).add_tokens("a", [(2, 12), (1, 15)])
         state = state_of(net, marking)
         assert advance_time(net, state) == 15
+        # step passes 12, where the @12 token is ready but rejected.
+        assert step(net, state) == TimeAdvanced(0, 15)
 
     def test_rejected_while_something_enabled(self, guard_net):
         marking = guard_net_marking(guard_net, [2], [1])
         state = state_of(guard_net, marking)
         with pytest.raises(FiringError):
             advance_time(guard_net, state)
+
+    def test_a_tie_across_places_wakes_both(self):
+        # Two timed places whose first pending tokens share a stamp: the
+        # advance must clear the memos of both places' watchers.
+        b = NetBuilder()
+        for name in ("a", "b"):
+            b.place(name, INT_SET, timed=True)
+            b.transition(f"take_{name}", [(name, Var("x"))], [])
+        net = b.build()
+        marking = (Marking.empty(net).add_tokens("a", [(1, 5)])
+                   .add_tokens("b", [(2, 5)]))
+        state = state_of(net, marking)
+        assert advance_time(net, state) == 5
+        assert step(net, state) == TimeAdvanced(0, 5)
+        hook = TraceHook()
+        run(net, state, hooks=[hook])
+        assert sorted(name for kind, name, _t in hook.events
+                      if kind == "Fired") == ["take_a", "take_b"]
+        assert hook.events[-1] == ("DeadMarking", None, 5)
 
 
 # ---------------------------------------------------------------------------

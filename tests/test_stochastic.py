@@ -176,3 +176,7 @@ class TestStreams:
             RngStream("one")
         with pytest.raises(ValueError):
             RngStream(-1)
+        # A bool is an int to Python, but not a seed part.
+        for path in ((True,), (3, False)):
+            with pytest.raises(ValueError, match="ints >= 0"):
+                RngStream(*path)
