@@ -24,10 +24,9 @@ and deletes the ones it consumes; a place's token count is the length
 of its list.  No token value is ever hashed: candidates are found by
 sorting a place's ready values and grouping equal neighbours, and
 consumed tokens by comparing values.  A place of one token, such as the
-raytracing model's work list, needs no sort.  A :class:`Marking` holds
-its tokens in the same store, which :class:`SimState` copies.  Public
-accessors group equal tokens into ``(value, timestamp, count)`` triples
-and report ``None`` timestamps for untimed places.
+raytracing model's work list, needs no sort.  Public accessors group
+equal tokens into ``(value, timestamp, count)`` triples and report
+``None`` timestamps for untimed places.
 
 Every transition is compiled once, when its ``Net`` is built
 (:func:`compile_transition`), into two plain functions that
@@ -104,7 +103,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import groupby, product
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "All",
@@ -115,7 +114,6 @@ __all__ = [
     "Fired",
     "FiringError",
     "INT_SET",
-    "Marking",
     "ModelStructureError",
     "Net",
     "NetBuilder",
@@ -162,8 +160,8 @@ class ColourSet:
     Token values must be mutually orderable within one place: the
     engine sorts candidate tokens for deterministic binding enumeration
     and groups equal ones by sorting, never by hashing.  ``contains``
-    is the one membership test: ``add_tokens`` applies it to every token
-    that enters from outside the net, and a firing to every token it
+    is the one membership test: :class:`SimState` applies it to every
+    token of the initial marking, and a firing to every token it
     produces.
     """
 
@@ -403,40 +401,24 @@ def _index_of(net: Net, place: str) -> int:
         raise ModelStructureError(f"unknown place {place}") from None
 
 
-def _grouped(tokens) -> list[tuple[Any, int, int]]:
-    """Sorted ``(value, timestamp, count)`` triples of a place's tokens."""
-    return [
-        (value, ts, sum(1 for _ in run))
-        for (value, ts), run in groupby(sorted(tokens))
-    ]
+def _normalize_tokens(place: Place, tokens) -> list[tuple[Any, int]]:
+    """A place's ``(value, timestamp)`` list from user-supplied tokens.
 
-
-def _tokens(net: Net, store: list[list], place: str) -> list[tuple]:
-    """Sorted ``(value, timestamp, count)`` list; timestamp None if untimed."""
-    idx = _index_of(net, place)
-    timed = net.places[idx].timed
-    return [(value, ts if timed else None, count)
-            for value, ts, count in _grouped(store[idx])]
-
-
-def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
-    """Yield (value, timestamp, count) triples from user-supplied tokens.
-
-    For timed places each token must be a ``(value, timestamp)`` pair;
-    for untimed places, a bare value.  ``tokens`` is either a mapping
-    token -> count or an iterable of tokens (counted with multiplicity).
+    ``tokens`` is an iterable of tokens, counted with multiplicity; a
+    dict is rejected, as its keys would be taken for the tokens.  On
+    a timed place each token must be a ``(value, timestamp)`` pair, and
+    the list is sorted by timestamp, stably; on an untimed place each is
+    a bare value, stamped 0 and kept in the given order.  Every value
+    must be in the place's colour set.
     """
     if isinstance(tokens, dict):
-        items = tokens.items()
-    else:
-        items = ((t, 1) for t in tokens)
-    for tok, count in items:
-        if not (_is_int(count) and count >= 1):
-            raise ModelStructureError(
-                f"token count {count!r} on place {place.name} is not a "
-                "positive integer"
-            )
-        if place.timed:
+        raise ModelStructureError(
+            f"tokens of place {place.name} must be an iterable of tokens, "
+            f"not a mapping: {tokens!r}"
+        )
+    if place.timed:
+        entries = []
+        for tok in tokens:
             if not (isinstance(tok, tuple) and len(tok) == 2 and _is_int(tok[1])):
                 raise ModelStructureError(
                     f"place {place.name} is timed; tokens must be "
@@ -447,78 +429,18 @@ def _normalize_tokens(place: Place, tokens) -> Iterable[tuple[Any, int, int]]:
                 raise ModelStructureError(
                     f"negative timestamp {ts} on place {place.name}"
                 )
-        else:
-            value, ts = tok, 0
-        if not place.colour.contains(value):
+            entries.append((value, ts))
+        entries.sort(key=_stamp)
+    else:
+        entries = [(value, 0) for value in tokens]
+    contains = place.colour.contains
+    for value, _ts in entries:
+        if not contains(value):
             raise ModelStructureError(
                 f"value {value!r} is not in colour set {place.colour.name} "
                 f"of place {place.name}"
             )
-        yield value, ts, count
-
-
-class Marking:
-    """Assignment of a token multiset to every place of a net.
-
-    Value semantics: ``add_tokens`` returns a new marking and leaves the
-    original as it was.  The new marking copies the token list of the
-    place it adds to and shares the other places' lists, which no
-    marking changes once it is made; :class:`SimState` copies them all.
-    The lists are the token store of the module docstring, already in
-    the order a run keeps them.
-    """
-
-    def __init__(self, net: Net, store: list[list] | None = None):
-        self.net = net
-        if store is None:
-            store = [[] for _ in net.places]
-        self._store = store
-
-    @classmethod
-    def empty(cls, net: Net) -> "Marking":
-        return cls(net)
-
-    def _copy_store(self) -> list[list]:
-        return [list(tokens) for tokens in self._store]
-
-    def add_tokens(self, place: str, tokens) -> "Marking":
-        """Return a new marking with ``tokens`` added to ``place``."""
-        idx = _index_of(self.net, place)
-        store = list(self._store)
-        added = store[idx] = list(store[idx])
-        target = self.net.places[idx]
-        for value, ts, count in _normalize_tokens(target, tokens):
-            added.extend([(value, ts)] * count)
-        if target.timed:
-            added.sort(key=_stamp)
-        return Marking(self.net, store)
-
-    def count(self, place: str) -> int:
-        return len(self._store[_index_of(self.net, place)])
-
-    def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
-        return _tokens(self.net, self._store, place)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Marking)
-            and other.net is self.net
-            and all(
-                sorted(mine) == sorted(theirs)
-                for mine, theirs in zip(self._store, other._store)
-            )
-        )
-
-    def __repr__(self):
-        parts = []
-        for place, tokens in zip(self.net.places, self._store):
-            if tokens:
-                terms = "++".join(
-                    f"{c}`{v!r}" + (f"@{ts}" if place.timed else "")
-                    for v, ts, c in _grouped(tokens)
-                )
-                parts.append(f"{place.name}: {terms}")
-        return "Marking(" + "; ".join(parts) + ")"
+    return entries
 
 
 class Fired(NamedTuple):
@@ -546,19 +468,29 @@ class SimState:
     Arc expressions receive the state and may read ``now`` and draw from
     ``rng``.  ``store`` is the token store of the module docstring,
     which states its invariants.
+
+    ``marking`` maps place names to iterables of tokens: bare values on
+    an untimed place, ``(value, timestamp)`` pairs on a timed one; a
+    place left out is empty.  The state builds its own store from it and
+    shares no list with the caller: every token is checked against its
+    place's colour set, an untimed place keeps the given order, and a
+    timed place is sorted by timestamp, stably.
     """
 
     __slots__ = ("net", "store", "now", "rng", "step_count", "cache")
 
-    def __init__(self, net: Net, marking: Marking, rng, now: int = 0):
-        if marking.net is not net:
-            raise ModelStructureError("marking belongs to a different net")
-        # A firing stamps ``now`` plus a delay: int ms, as add_tokens checks.
+    def __init__(self, net: Net, marking: Mapping[str, Iterable], rng,
+                 now: int = 0):
+        # A firing stamps ``now`` plus a delay: int ms, like a token's stamp.
         if not _is_int(now) or now < 0:
             raise ModelStructureError(
                 f"model time must be an int of 0 or more, got {now!r}")
+        store: list[list] = [[] for _ in net.places]
+        for name, tokens in marking.items():
+            idx = _index_of(net, name)
+            store[idx] = _normalize_tokens(net.places[idx], tokens)
         self.net = net
-        self.store: list[list] = marking._copy_store()
+        self.store = store
         self.now: int = now
         self.rng = rng
         self.step_count: int = 0
@@ -571,7 +503,12 @@ class SimState:
         return len(self.store[_index_of(self.net, place)])
 
     def tokens(self, place: str) -> list[tuple[Any, int | None, int]]:
-        return _tokens(self.net, self.store, place)
+        """Sorted ``(value, timestamp, count)`` triples of ``place``'s
+        tokens, equal tokens grouped; the timestamp is None if untimed."""
+        idx = _index_of(self.net, place)
+        timed = self.net.places[idx].timed
+        return [(value, ts if timed else None, sum(1 for _ in run))
+                for (value, ts), run in groupby(sorted(self.store[idx]))]
 
     def __repr__(self):
         return (

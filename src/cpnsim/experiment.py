@@ -263,8 +263,3 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
         key = (scene.label, scenario)
         result.records.setdefault(key, []).extend(point_records)
     return result
-
-
-def run_experiment(plan: ExperimentPlan) -> list[SweepPoint]:
-    """Aggregated sweep points for the plan (see run_experiment_detailed)."""
-    return run_experiment_detailed(plan).points

@@ -55,7 +55,6 @@ from cpnsim.engine import (
     All,
     Fired,
     INT_SET,
-    Marking,
     Net,
     NetBuilder,
     OutputArc,
@@ -455,29 +454,22 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
 
 
 def build_net(scene: SceneConfig, params: ScenarioParams,
-              rng: RngStream) -> tuple[Net, Marking]:
+              rng: RngStream) -> tuple[Net, dict[str, list]]:
     """The raytracing net plus its initial marking.
 
     A ``Net`` carries no run state, so every call with equal ``(scene,
-    params)`` returns the same compiled net; only the marking is made
-    per call.  The initial marking holds the first scene's complexity
-    (drawn from ``rng`` if it is a range), the cluster size, one master
-    and ``node_count - 1`` client nodes, and an empty work list; only
-    ``sendScene`` is enabled at time 0.
+    params)`` returns the same compiled net; only the marking, a dict of
+    place names to tokens, is made per call.  It holds the first scene's
+    complexity (drawn from ``rng`` if it is a range), the cluster size,
+    one master and ``node_count - 1`` client nodes, and an empty work
+    list; only ``sendScene`` is enabled at time 0.
     """
-    net = _compiled_net(scene, params)
-    # As counts, so add_tokens checks each node colour once, not per node.
-    nodes = {Node(MASTER): 1}
-    if params.node_count > 1:
-        nodes[Node(CLIENT)] = params.node_count - 1
-    marking = (
-        Marking.empty(net)
-        .add_tokens("newScene", [scene.draw_complexity(rng)])
-        .add_tokens("nodesNo", [params.node_count])
-        .add_tokens("freeNodes", nodes)
-        .add_tokens("preparedTiles", [(WorkList(), 0)])
-    )
-    return net, marking
+    return _compiled_net(scene, params), {
+        "newScene": [scene.draw_complexity(rng)],
+        "nodesNo": [params.node_count],
+        "freeNodes": [Node(MASTER)] + [Node(CLIENT)] * (params.node_count - 1),
+        "preparedTiles": [(WorkList(), 0)],
+    }
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from cpnsim.engine import (
     INT_SET,
     Fired,
-    Marking,
     NetBuilder,
     OutputArc,
     Var,
@@ -31,15 +30,6 @@ def build_guard_net():
     return b.build()
 
 
-def guard_net_marking(net, p1_tokens, p2_tokens):
-    m = Marking.empty(net)
-    if p1_tokens:
-        m = m.add_tokens("p1", p1_tokens)
-    if p2_tokens:
-        m = m.add_tokens("p2", p2_tokens)
-    return m
-
-
 def build_delay_net(with_consumer: bool, delay: int = 10):
     """A timed chain: tp1 -> tt1(+delay ms) -> tp2, optionally -> tt2 -> tp3.
 
@@ -62,8 +52,7 @@ def build_delay_net(with_consumer: bool, delay: int = 10):
             outputs=[OutputArc("tp3", lambda v, s: v["x"])],
         )
     net = b.build()
-    marking = Marking.empty(net).add_tokens("tp1", [(1, 0)])
-    return net, marking
+    return net, {"tp1": [(1, 0)]}
 
 
 class TraceHook:

@@ -16,7 +16,7 @@ import pytest
 
 from cpnsim.engine import Fired, SimState, advance_time, enabled_bindings, fire, run, step
 from cpnsim.cli import main
-from cpnsim.experiment import ExperimentPlan, run_experiment
+from cpnsim.experiment import ExperimentPlan, run_experiment_detailed
 from cpnsim.raytrace import (
     CLIENT,
     IDEAL,
@@ -36,7 +36,7 @@ from cpnsim.raytrace import (
 )
 from cpnsim.stochastic import RngStream
 
-from helpers import RaytraceInvariantHook, build_delay_net, build_guard_net, guard_net_marking
+from helpers import RaytraceInvariantHook, build_delay_net, build_guard_net
 
 SMALL = SceneConfig(10_000, 7_500, 1_000, 750, 36_500)
 BIG = SceneConfig(30_000, 22_500, 1_000, 750, 36_500)
@@ -85,7 +85,7 @@ class TestAcceptance:
                      "guarded token game: unique binding, exact firing",
                      budget=1.0) as info:
             net = build_guard_net()
-            marking = guard_net_marking(net, [1] + [2] * 7, [1] * 4)
+            marking = {"p1": [1] + [2] * 7, "p2": [1] * 4}
             state = SimState(net, marking, RngStream(1))
             found = enabled_bindings(net, state)
             assert found == [("tt", {"x": 2, "y": 1})]
@@ -193,7 +193,7 @@ class TestAcceptance:
             plan = ExperimentPlan(
                 scenes=(SMALL,), node_counts=node_counts,
                 scenarios=(IDEAL, REAL), replications=30, base_seed=1)
-            points = run_experiment(plan)
+            points = run_experiment_detailed(plan).points
             ideal = scene_means(points, IDEAL)
             real = scene_means(points, REAL)
             gaps = []
@@ -212,7 +212,7 @@ class TestAcceptance:
             plan = ExperimentPlan(
                 scenes=(SMALL, BIG), node_counts=(1, 2, 10, 25),
                 scenarios=(IDEAL,), replications=30, base_seed=1)
-            means = scene_means(run_experiment(plan), IDEAL)
+            means = scene_means(run_experiment_detailed(plan).points, IDEAL)
             details = []
             for scene in (SMALL, BIG):
                 m = {n: means[(scene.label, n)] for n in (1, 2, 10, 25)}

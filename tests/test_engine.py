@@ -11,7 +11,6 @@ from cpnsim.engine import (
     Fired,
     FiringError,
     INT_SET,
-    Marking,
     ModelStructureError,
     NetBuilder,
     OutputArc,
@@ -30,7 +29,7 @@ from cpnsim.engine import (
 )
 from cpnsim.stochastic import RngStream
 
-from helpers import TraceHook, build_delay_net, build_guard_net, guard_net_marking
+from helpers import TraceHook, build_delay_net, build_guard_net
 
 
 def state_of(net, marking, seed=1234, now=0):
@@ -58,37 +57,30 @@ def assert_failed_firing_changes_nothing(net, state, error):
 
 
 # ---------------------------------------------------------------------------
-# Marking.add_tokens
+# The initial marking: tokens added by SimState
 # ---------------------------------------------------------------------------
 
 class TestAddTokens:
     def test_multiset_notation_counts(self, guard_net):
-        marking = Marking.empty(guard_net).add_tokens("p1", [1] + [2] * 7)
-        assert marking.count("p1") == 8
-        assert marking.tokens("p1") == [(1, None, 1), (2, None, 7)]
-
-    def test_empty_addition_is_identity(self, guard_net):
-        before = Marking.empty(guard_net).add_tokens("p1", [3])
-        after = before.add_tokens("p2", [])
-        assert after == before
+        state = state_of(guard_net, {"p1": [1] + [2] * 7})
+        assert state.count("p1") == 8
+        assert state.tokens("p1") == [(1, None, 1), (2, None, 7)]
 
     def test_repeated_addition_sums_counts(self, guard_net):
-        marking = Marking.empty(guard_net)
-        marking = marking.add_tokens("p1", [4])
-        marking = marking.add_tokens("p1", [4])
-        assert marking.tokens("p1") == [(4, None, 2)]
+        state = state_of(guard_net, {"p1": (4 for _ in range(2))})
+        assert state.tokens("p1") == [(4, None, 2)]
 
     def test_unknown_place_rejected(self, guard_net):
-        with pytest.raises(ModelStructureError):
-            Marking.empty(guard_net).add_tokens("nope", [1])
+        with pytest.raises(ModelStructureError, match="unknown place nope"):
+            state_of(guard_net, {"nope": [1]})
 
     def test_colour_mismatch_rejected(self, guard_net):
-        with pytest.raises(ModelStructureError):
-            Marking.empty(guard_net).add_tokens("p1", ["text"])
+        with pytest.raises(ModelStructureError, match="colour set INT"):
+            state_of(guard_net, {"p1": ["text"]})
 
     def test_timestamp_on_untimed_place_rejected(self, guard_net):
         with pytest.raises(ModelStructureError):
-            Marking.empty(guard_net).add_tokens("p1", [(1, 5)])
+            state_of(guard_net, {"p1": [(1, 5)]})
 
     @pytest.mark.parametrize("token, message", [
         (1, "timestamp"), ((1,), "timestamp"), ((1, 0.5), "timestamp"),
@@ -97,38 +89,51 @@ class TestAddTokens:
     def test_bad_timed_tokens_rejected(self, token, message):
         net, _marking = build_delay_net(with_consumer=False)
         with pytest.raises(ModelStructureError, match=message):
-            Marking.empty(net).add_tokens("tp1", [token])
+            state_of(net, {"tp1": [token]})
 
-    @pytest.mark.parametrize("count", [0, -1, 2.5])
-    def test_bad_token_counts_rejected(self, guard_net, count):
-        with pytest.raises(ModelStructureError):
-            Marking.empty(guard_net).add_tokens("p1", {5: count})
+    # A token -> count mapping iterates as its keys: {5: 3} would become
+    # one token 5, and {master: 1, client: 24} two nodes.
+    @pytest.mark.parametrize("tokens", [{5: 3}, {5: 1, 6: 24}])
+    def test_a_mapping_of_tokens_rejected(self, guard_net, tokens):
+        with pytest.raises(ModelStructureError, match="place p1 .* mapping"):
+            state_of(guard_net, {"p1": tokens})
 
-    def test_value_semantics_leaves_original_untouched(self, guard_net):
-        before = Marking.empty(guard_net).add_tokens("p1", [1])
-        before.add_tokens("p1", [9])
-        assert before.tokens("p1") == [(1, None, 1)]
-        # The two markings share p1's list; a state changes only its copy.
-        after = before.add_tokens("p2", [4])
-        for tokens in state_of(guard_net, after).store:
-            tokens.clear()
-        assert before.tokens("p1") == after.tokens("p1") == [(1, None, 1)]
-        assert after.tokens("p2") == [(4, None, 1)]
-        assert before.count("p2") == 0
+    def test_timed_tokens_are_sorted_stably_by_stamp(self):
+        net, _marking = build_delay_net(with_consumer=False)
+        state = state_of(net, {"tp1": [(3, 5), (1, 0), (2, 5), (4, 0)]})
+        assert state.store[net.place_index["tp1"]] == [
+            (1, 0), (4, 0), (3, 5), (2, 5)]
+
+    def test_a_state_shares_no_list_with_the_marking(self):
+        net, _marking = build_delay_net(with_consumer=False)
+        marking = {"tp1": [(2, 3), (1, 0)]}
+        first = state_of(net, marking)
+        second = state_of(net, marking)
+        assert step(net, first) == Fired("tt1", {"x": 1}, 0)
+        for tokens in first.store:
+            tokens.append((9, 0))
+        assert marking == {"tp1": [(2, 3), (1, 0)]}
+        assert second.tokens("tp1") == [(1, 0, 1), (2, 3, 1)]
+        assert second.count("tp2") == 0
 
 
 @pytest.mark.parametrize("access", [
-    lambda marking, state: marking.add_tokens("ghost", [1]),
-    lambda marking, state: marking.count("ghost"),
-    lambda marking, state: marking.tokens("ghost"),
-    lambda marking, state: state.count("ghost"),
-    lambda marking, state: state.tokens("ghost"),
-], ids=["Marking.add_tokens", "Marking.count", "Marking.tokens",
-        "SimState.count", "SimState.tokens"])
+    lambda state: state_of(state.net, {"ghost": [1]}),
+    lambda state: state.count("ghost"),
+    lambda state: state.tokens("ghost"),
+], ids=["SimState", "SimState.count", "SimState.tokens"])
 def test_unknown_place_is_a_structure_error(guard_net, access):
-    marking = Marking.empty(guard_net)
     with pytest.raises(ModelStructureError, match="unknown place ghost"):
-        access(marking, state_of(guard_net, marking))
+        access(state_of(guard_net, {}))
+
+
+def test_reprs_name_the_object_and_its_size(guard_net):
+    state = SimState(guard_net, {"p1": [2, 3], "p2": [1]}, RngStream(7, 1))
+    step(guard_net, state)
+    assert repr(guard_net) == "Net(3 places, 1 transitions)"
+    assert repr(state) == "SimState(now=0, steps=1, tokens=2)"
+    assert repr(INT_SET) == "ColourSet(INT)"
+    assert repr(state.rng) == "RngStream(7:1)"
 
 
 # 0.5 would stamp tp2 at 10.5, and True is no clock either.
@@ -139,36 +144,29 @@ def test_state_clock_is_an_int_of_zero_or_more(now):
         SimState(net, marking, RngStream(1), now=now)
 
 
-def test_state_takes_only_a_marking_of_its_net():
-    net, _marking = build_delay_net(with_consumer=False)
-    _other_net, other = build_delay_net(with_consumer=False)
-    with pytest.raises(ModelStructureError, match="different net"):
-        SimState(net, other, RngStream(1))
-
-
 # ---------------------------------------------------------------------------
 # enabled_bindings
 # ---------------------------------------------------------------------------
 
 class TestEnabledBindings:
     def test_guard_filters_to_unique_binding(self, guard_net):
-        marking = guard_net_marking(guard_net, [1] + [2] * 7, [1] * 4)
+        marking = {"p1": [1] + [2] * 7, "p2": [1] * 4}
         state = state_of(guard_net, marking)
         found = enabled_bindings(guard_net, state)
         assert found == [("tt", {"x": 2, "y": 1})]
 
     def test_empty_marking_nothing_enabled(self, guard_net):
-        state = state_of(guard_net, Marking.empty(guard_net))
+        state = state_of(guard_net, {})
         assert enabled_bindings(guard_net, state) == []
 
     def test_guard_false_on_single_candidate(self, guard_net):
-        marking = guard_net_marking(guard_net, [1], [1])
+        marking = {"p1": [1], "p2": [1]}
         state = state_of(guard_net, marking)
         assert enabled_bindings(guard_net, state) == []
 
     def test_bindings_are_value_level(self, guard_net):
         # Seven ready tokens of value 2 still give one binding for x=2.
-        marking = guard_net_marking(guard_net, [2] * 7, [1] * 4)
+        marking = {"p1": [2] * 7, "p2": [1] * 4}
         state = state_of(guard_net, marking)
         assert len(enabled_bindings(guard_net, state)) == 1
 
@@ -179,13 +177,13 @@ class TestEnabledBindings:
         b.transition("t", inputs=[("a", Var("x"))],
                      outputs=[OutputArc("out", lambda v, s: v["x"])])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [3, 1, 2]))
+        state = state_of(net, {"a": [3, 1, 2]})
         values = [a["x"] for _, a in enabled_bindings(net, state)]
         assert values == [1, 2, 3]
 
     def test_pending_tokens_are_not_ready(self):
         net, marking = build_delay_net(with_consumer=True)
-        marking = marking.add_tokens("tp2", [(5, 40)])
+        marking = {**marking, "tp2": [(5, 40)]}
         state = state_of(net, marking)
         names = [n for n, _ in enabled_bindings(net, state)]
         assert names == ["tt1"]  # the @40 token is still pending at 0
@@ -197,7 +195,7 @@ class TestEnabledBindings:
 
 class TestFire:
     def test_fire_consumes_and_produces(self, guard_net):
-        marking = guard_net_marking(guard_net, [1] + [2] * 7, [1] * 4)
+        marking = {"p1": [1] + [2] * 7, "p2": [1] * 4}
         state = state_of(guard_net, marking)
         [(name, binding)] = enabled_bindings(guard_net, state)
         fire(guard_net, state, name, binding)
@@ -216,14 +214,14 @@ class TestFire:
 
     def test_zero_delay_token_is_immediately_ready(self):
         net, marking = build_delay_net(with_consumer=True)
-        state = state_of(net, Marking.empty(net).add_tokens("tp2", [(7, 0)]))
+        state = state_of(net, {"tp2": [(7, 0)]})
         [(name, binding)] = enabled_bindings(net, state)
         assert name == "tt2"
         fire(net, state, name, binding)
         assert state.tokens("tp3") == [(7, 0, 1)]
 
     def test_refiring_a_consumed_binding_rejected(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         [(name, binding)] = enabled_bindings(guard_net, state)
         fire(guard_net, state, name, binding)
@@ -231,14 +229,14 @@ class TestFire:
             fire(guard_net, state, name, binding)
 
     def test_unknown_transition_rejected(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         [(_, binding)] = enabled_bindings(guard_net, state)
         with pytest.raises(FiringError):
             fire(guard_net, state, "ghost", binding)
 
     def test_guard_rejecting_binding_raises(self, guard_net):
-        marking = guard_net_marking(guard_net, [1], [1])
+        marking = {"p1": [1], "p2": [1]}
         state = state_of(guard_net, marking)
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", {"x": 1, "y": 1})
@@ -246,7 +244,7 @@ class TestFire:
     def test_fire_produces_from_the_enumerated_tokens(self, guard_net):
         # 2.0 equals the enumerated 2, so the binding is enabled; the
         # tokens' own values are the ones bound, and x + y is the int 3.
-        state = state_of(guard_net, guard_net_marking(guard_net, [2], [1]))
+        state = state_of(guard_net, {"p1": [2], "p2": [1]})
         fire(guard_net, state, "tt", {"x": 2.0, "y": 1})
         assert state.count("p1") == state.count("p2") == 0
         [(value, _ts, count)] = state.tokens("p3")
@@ -261,7 +259,7 @@ class TestFire:
     ], ids=["empty-marking", "assignment-off-its-tokens"])
     def test_binding_not_enumerated_is_rejected(self, guard_net, p1, p2,
                                                 assignment):
-        state = state_of(guard_net, guard_net_marking(guard_net, p1, p2))
+        state = state_of(guard_net, {"p1": p1, "p2": p2})
         before = ([list(tokens) for tokens in state.store], state.step_count)
         with pytest.raises(FiringError):
             fire(guard_net, state, "tt", assignment)
@@ -282,7 +280,7 @@ class TestFire:
         b.transition("t", inputs=[("a", Var("xs"))],
                      outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", tokens))
+        state = state_of(net, {"a": tokens})
         equal = tuple([1, 2])
         assert all(value is not equal for value, _ts in state.store[0])
         fire(net, state, "t", {"xs": equal})
@@ -302,7 +300,7 @@ class TestFire:
         b.transition("t", inputs=[("src", Var("x"))],
                      outputs=[OutputArc("dst", lambda v, s: v["x"])])
         net = b.build()
-        marking = Marking.empty(net).add_tokens("src", [(5, 3), (5, 7)])
+        marking = {"src": [(5, 3), (5, 7)]}
         state = state_of(net, marking, now=10)
         [(name, binding)] = enabled_bindings(net, state)
         fire(net, state, name, binding)
@@ -316,7 +314,7 @@ class TestFire:
                      outputs=[OutputArc("b", lambda v, s: v["x"],
                                         delay=lambda v, s: -1)])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [(1, 0)]))
+        state = state_of(net, {"a": [(1, 0)]})
         assert_failed_firing_changes_nothing(net, state, ModelStructureError)
 
     def test_raising_arc_expression_changes_nothing(self):
@@ -328,7 +326,7 @@ class TestFire:
                      outputs=[OutputArc("b", lambda v, s: v["x"], delay=5),
                               OutputArc("b", lambda v, s: 1 // 0)])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [(1, 0)]))
+        state = state_of(net, {"a": [(1, 0)]})
         assert_failed_firing_changes_nothing(net, state, ZeroDivisionError)
 
     def test_negative_constant_delay_rejected(self):
@@ -355,7 +353,7 @@ class TestAdvanceTime:
         assert state.now == 0  # advance_time reports, never mutates
 
     def test_empty_marking_is_dead(self, guard_net):
-        state = state_of(guard_net, Marking.empty(guard_net))
+        state = state_of(guard_net, {})
         assert advance_time(guard_net, state) is None
 
     def test_skips_times_that_enable_nothing(self):
@@ -368,14 +366,14 @@ class TestAdvanceTime:
                      guard=lambda v: v["x"] == 1,
                      outputs=[OutputArc("out", lambda v, s: v["x"])])
         net = b.build()
-        marking = Marking.empty(net).add_tokens("a", [(2, 12), (1, 15)])
+        marking = {"a": [(2, 12), (1, 15)]}
         state = state_of(net, marking)
         assert advance_time(net, state) == 15
         # step passes 12, where the @12 token is ready but rejected.
         assert step(net, state) == TimeAdvanced(0, 15)
 
     def test_rejected_while_something_enabled(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         with pytest.raises(FiringError):
             advance_time(guard_net, state)
@@ -388,8 +386,7 @@ class TestAdvanceTime:
             b.place(name, INT_SET, timed=True)
             b.transition(f"take_{name}", [(name, Var("x"))], [])
         net = b.build()
-        marking = (Marking.empty(net).add_tokens("a", [(1, 5)])
-                   .add_tokens("b", [(2, 5)]))
+        marking = {"a": [(1, 5)], "b": [(2, 5)]}
         state = state_of(net, marking)
         assert advance_time(net, state) == 5
         assert step(net, state) == TimeAdvanced(0, 5)
@@ -406,7 +403,7 @@ class TestAdvanceTime:
 
 class TestStepAndRun:
     def test_single_enabled_binding_fires(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         event = step(guard_net, state)
         assert type(event) is Fired
@@ -422,13 +419,13 @@ class TestStepAndRun:
         assert state.now == 10
 
     def test_step_reports_dead_marking(self, guard_net):
-        state = state_of(guard_net, Marking.empty(guard_net))
+        state = state_of(guard_net, {})
         event = step(guard_net, state)
         assert type(event) is DeadMarking
         assert state.now == 0
 
     def test_choice_reproducible_for_fixed_seed(self, guard_net):
-        marking = guard_net_marking(guard_net, [2, 3], [1] * 4)
+        marking = {"p1": [2, 3], "p2": [1] * 4}
 
         def trace(seed):
             state = state_of(guard_net, marking, seed=seed)
@@ -439,7 +436,7 @@ class TestStepAndRun:
         assert trace(99) == trace(99)
 
     def test_different_seeds_can_pick_differently(self, guard_net):
-        marking = guard_net_marking(guard_net, [2, 3], [1] * 4)
+        marking = {"p1": [2, 3], "p2": [1] * 4}
         first = set()
         for seed in range(12):
             state = state_of(guard_net, marking, seed=seed)
@@ -450,7 +447,7 @@ class TestStepAndRun:
     def test_run_until_dead_exhausts_guard_net(self, guard_net):
         # p2 has four 1-tokens and p1 seven 2-tokens: x=2 beats y=1
         # four times, then p2 is empty and the net is dead.
-        marking = guard_net_marking(guard_net, [1] + [2] * 7, [1] * 4)
+        marking = {"p1": [1] + [2] * 7, "p2": [1] * 4}
         state = state_of(guard_net, marking)
         hook = TraceHook()
         run(guard_net, state, hooks=[hook])
@@ -460,7 +457,7 @@ class TestStepAndRun:
         assert hook.events[-1][0] == "DeadMarking"
 
     def test_trivially_true_stop_runs_zero_steps(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         run(guard_net, state, stop=lambda st, ev: True)
         assert state.step_count == 0
@@ -493,12 +490,12 @@ class TestStepAndRun:
         b.transition("loop", inputs=[("a", Var("x"))],
                      outputs=[OutputArc("a", lambda v, s: v["x"])])
         net = b.build()
-        state = state_of(net, Marking.empty(net).add_tokens("a", [0]))
+        state = state_of(net, {"a": [0]})
         with pytest.raises(StepLimitExceeded):
             run(net, state, max_steps=50)
 
     def test_hooks_see_every_event(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         h1, h2 = TraceHook(), TraceHook()
         run(guard_net, state, hooks=[h1, h2])
@@ -506,7 +503,7 @@ class TestStepAndRun:
         assert len(h1.events) == 2  # one firing, then dead
 
     def test_hooks_added_during_a_run_are_not_called(self, guard_net):
-        marking = guard_net_marking(guard_net, [2], [1])
+        marking = {"p1": [2], "p2": [1]}
         state = state_of(guard_net, marking)
         late = TraceHook()
         hooks = []
@@ -541,7 +538,7 @@ class TestAllArc:
 
     def test_binds_whole_population_with_multiplicity(self):
         net = self.collector_net(require=3)
-        state = state_of(net, Marking.empty(net).add_tokens("pool", [2, 1, 2]))
+        state = state_of(net, {"pool": [2, 1, 2]})
         [(_, assignment)] = enabled_bindings(net, state)
         assert assignment["xs"] == (1, 2, 2)
         fire(net, state, "collect", assignment)
@@ -555,7 +552,7 @@ class TestAllArc:
             net = self.collector_net(require=require)
 
             def enabled(values):
-                marking = Marking.empty(net).add_tokens("pool", values)
+                marking = {"pool": values}
                 return enabled_bindings(net, state_of(net, marking))
 
             if tokens:
@@ -625,7 +622,7 @@ class TestNetValidation:
                          outputs=[OutputArc("out", lambda v, s: str(v["x"]),
                                             delay)])
             net = b.build()
-            state = state_of(net, Marking.empty(net).add_tokens("a", [1]))
+            state = state_of(net, {"a": [1]})
             assert_failed_firing_changes_nothing(net, state,
                                                  ModelStructureError)
 
@@ -657,29 +654,18 @@ token_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=30)
 class TestMultisetLaws:
     @given(tokens=token_lists)
     def test_count_is_the_number_of_tokens_added(self, tokens):
-        net = build_guard_net()
-        marking = Marking.empty(net).add_tokens("p1", tokens)
-        assert marking.count("p1") == len(tokens)
+        state = state_of(build_guard_net(), {"p1": tokens})
+        assert state.count("p1") == len(tokens)
 
     @given(tokens=token_lists)
     def test_token_counts_are_positive_and_sum_to_count(self, tokens):
-        net = build_guard_net()
-        marking = Marking.empty(net).add_tokens("p1", tokens)
-        counts = [c for _value, _ts, c in marking.tokens("p1")]
+        state = state_of(build_guard_net(), {"p1": tokens})
+        counts = [c for _value, _ts, c in state.tokens("p1")]
         assert all(c > 0 for c in counts)
-        assert sum(counts) == marking.count("p1")
+        assert sum(counts) == state.count("p1")
 
     @given(tokens=token_lists)
     def test_fresh_state_reports_the_marking_tokens(self, tokens):
-        net = build_guard_net()
-        marking = Marking.empty(net).add_tokens("p1", tokens)
-        state = state_of(net, marking)
-        assert state.tokens("p1") == marking.tokens("p1")
-        assert state.count("p1") == marking.count("p1")
-
-    @given(tokens=token_lists)
-    def test_marking_equality_is_value_based(self, tokens):
-        net = build_guard_net()
-        a = Marking.empty(net).add_tokens("p1", tokens)
-        b = Marking.empty(net).add_tokens("p1", list(reversed(tokens)))
-        assert a == b
+        state = state_of(build_guard_net(), {"p1": tokens})
+        assert state.tokens("p1") == [
+            (value, None, tokens.count(value)) for value in sorted(set(tokens))]

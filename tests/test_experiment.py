@@ -18,7 +18,6 @@ from cpnsim.experiment import (
     FailedReplication,
     SweepPoint,
     _run_replication,
-    run_experiment,
     run_experiment_detailed,
 )
 from cpnsim.raytrace import IDEAL, REAL, SceneConfig
@@ -113,7 +112,7 @@ class TestPlan:
 class TestAggregation:
     def test_single_replication_point(self):
         plan = tiny_plan(replications=1)
-        [point] = run_experiment(plan)
+        [point] = run_experiment_detailed(plan).points
         assert point.scene == "4000x3000"
         assert point.scenario == IDEAL
         assert point.nodes == 2
@@ -145,8 +144,9 @@ class TestAggregation:
         assert seeds == ["9:0:0", "9:0:1", "9:1:0", "9:1:1"]
 
     def test_same_plan_is_bit_reproducible(self):
-        a = run_experiment(tiny_plan(scenarios=(REAL,), replications=3))
-        b = run_experiment(tiny_plan(scenarios=(REAL,), replications=3))
+        plan = tiny_plan(scenarios=(REAL,), replications=3)
+        a = run_experiment_detailed(plan).points
+        b = run_experiment_detailed(plan).points
         assert a == b
 
     def test_worker_pool_matches_sequential(self):

@@ -43,6 +43,12 @@ def package_imports(path: Path) -> set[str]:
     return found
 
 
+def test_every_engine_export_exists():
+    namespace = {}
+    exec("from cpnsim.engine import *", namespace)
+    assert {"SimState", "run", "step"} <= namespace.keys()
+
+
 def test_import_graph_within_the_package():
     graph = {path.stem: package_imports(path)
              for path in PACKAGE.glob("*.py")}

@@ -24,7 +24,6 @@ from cpnsim.engine import (
     All,
     DeadMarking,
     Fired,
-    Marking,
     NetBuilder,
     OutputArc,
     SimState,
@@ -40,7 +39,7 @@ from cpnsim.engine import (
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream, uniform_int
 
-from helpers import TraceHook, build_delay_net, build_guard_net, guard_net_marking
+from helpers import TraceHook, build_delay_net, build_guard_net
 
 TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
@@ -136,7 +135,7 @@ def scene_done(state, event):
 class TestEnumerationMemo:
     def test_guard_net(self):
         net = build_guard_net()
-        marking = guard_net_marking(net, [1, 2, 2, 3, 5], [1, 1, 2, 4])
+        marking = {"p1": [1, 2, 2, 3, 5], "p2": [1, 1, 2, 4]}
         for seed in range(5):
             assert checked_run(net, marking, seed).fired == {"tt"}
 
@@ -214,9 +213,7 @@ class TestStepReadsTheMemos:
         b.transition("c", [("p2", Var("x")), ("p0", Var("y"))],
                      [OutputArc("p1", lambda v, s: v["x"] + v["y"])])
         net = b.build()
-        marking = (Marking.empty(net).add_tokens("p0", [2, 1, 2])
-                   .add_tokens("p1", [3]).add_tokens("p2", [5, 4]))
-        return net, marking
+        return net, {"p0": [2, 1, 2], "p1": [3], "p2": [5, 4]}
 
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
@@ -232,7 +229,7 @@ class TestStepReadsTheMemos:
         # Only b, the second transition, is enabled: a's and c's memos
         # are empty on either side of it.
         net, _marking = self.gapped_net()
-        marking = Marking.empty(net).add_tokens("p1", [3, 7])
+        marking = {"p1": [3, 7]}
         state = SimState(net, marking, NoPick())
         assert _refresh_memos(net, state) == (1, 1)
         assert step(net, state) == Fired("b", {"x": 7}, 0)
@@ -254,8 +251,8 @@ class TestStepReadsTheMemos:
         b.transition("yx", [("p2", Var("y")), ("p1", Var("x"))],
                      [OutputArc("out", lambda v, s: v["y"])], guard=guard)
         net = b.build()
-        marking = (Marking.empty(net).add_tokens("p1", [3, 1, 2, 2, 1])
-                   .add_tokens("p2", [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]))
+        marking = {"p1": [3, 1, 2, 2, 1],
+                   "p2": [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]}
         store, now = SimState(net, marking, RngStream(0)).store, 2
         expected = reference_bindings(net, store, now)
         got = enumerate_bindings(net, store, now)
@@ -342,13 +339,11 @@ def small_timed_nets(draw):
             outputs.append(OutputArc(f"p{q}", expr, delay))
         b.transition(f"t{t}", inputs, outputs, guard=draw(st.sampled_from(GUARDS)))
     net = b.build()
-    marking = Marking.empty(net)
+    marking = {}
     for p, is_timed in enumerate(timed):
         value = st.integers(0, 3)
         token = st.tuples(value, st.integers(0, 6)) if is_timed else value
-        tokens = draw(st.lists(token, max_size=4))
-        if tokens:
-            marking = marking.add_tokens(f"p{p}", tokens)
+        marking[f"p{p}"] = draw(st.lists(token, max_size=4))
     return net, marking, draw(st.sampled_from([0, 2]))
 
 

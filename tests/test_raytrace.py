@@ -316,15 +316,18 @@ class TestBuildNet:
     def test_initial_marking_of_an_eight_node_cluster(self):
         rng = RngStream(1)
         net, marking = build_net(SMALL, params(node_count=8), rng)
-        assert marking.tokens("newScene") == [(36_500, None, 1)]
-        assert marking.tokens("nodesNo") == [(8, None, 1)]
-        assert marking.tokens("freeNodes") == [
+        # Every other place starts empty.
+        assert marking == {
+            "newScene": [36_500],
+            "nodesNo": [8],
+            "freeNodes": [Node(MASTER)] + [Node(CLIENT)] * 7,
+            "preparedTiles": [(WorkList(), 0)],
+        }
+        state = SimState(net, marking, rng)
+        assert state.tokens("freeNodes") == [
             (Node(MASTER), None, 1), (Node(CLIENT), None, 7)]
-        assert marking.tokens("preparedTiles") == [(WorkList(), 0, 1)]
-        assert marking.count("scStartTime") == 0
-        for place in ("prepTile", "raytrTiles", "unsrRaytrTiles",
-                      "computedTiles", "invalidNodes"):
-            assert marking.count(place) == 0
+        assert state.tokens("preparedTiles") == [(WorkList(), 0, 1)]
+        assert sum(map(len, state.store)) == 11
 
     def test_equal_configs_share_one_compiled_net(self):
         ranged = SceneConfig(4_000, 3_000, 1_000, 750, (500, 1_500))
@@ -333,9 +336,9 @@ class TestBuildNet:
         net2, marking2 = build_net(twin, params(), RngStream(2))
         assert net2 is net
         assert marking2 is not marking
-        assert marking._store is not marking2._store
+        assert marking["freeNodes"] is not marking2["freeNodes"]
         # Each marking draws its own first complexity.
-        assert marking.tokens("newScene") != marking2.tokens("newScene")
+        assert marking["newScene"] != marking2["newScene"]
         assert build_net(ranged, params(node_count=9), RngStream(1))[0] is not net
 
     def test_int_fields_reject_other_types(self):
