@@ -28,28 +28,26 @@ raytracing model's work list, needs no sort.  Public accessors group
 equal tokens into ``(value, timestamp, count)`` triples and report
 ``None`` timestamps for untimed places.
 
-Every transition is compiled once, when its ``Net`` is built
-(:func:`compile_transition`), into two plain functions that
-``step``, ``enumerate_bindings``, ``enabled_bindings``, ``fire`` and
-``advance_time`` all call, so there is one firing rule:
+When a ``Net`` is built, each transition's two plain functions are
+generated as source and compiled (:func:`compile_transition`): place
+and memo indices, variable names, arc order and delay forms are written
+in, not looked up on each step.  ``step``, ``enumerate_bindings``,
+``enabled_bindings``, ``fire`` and ``advance_time`` all call them, so
+there is one firing rule; a traceback shows the generated line.
 
 * ``bindings(store, now)`` lists the enabled assignments.  Every input
   arc has its own place and its own variable (``Net`` rejects anything
   else), so they are the plain product of the ``Var`` arcs' candidate
-  values, with the ``All`` arcs' tuples, filtered by the guard.  An
-  ``All`` arc's place is untimed and must hold exactly its count of
-  tokens; its tuple is all of them, sorted.  The build picks one of
-  three shapes: one ``Var`` arc (a plain loop), two ``Var`` arcs (a
-  double loop) or the general product; all three list the same bindings
-  in the same order.
+  values, one nested loop per arc, with the ``All`` arcs' tuples first,
+  filtered by the guard.  An ``All`` arc's place is untimed and must
+  hold exactly its count of tokens; its tuple is all of them, sorted.
 * ``fire(state, assignment)`` first evaluates every output arc, in arc
-  order ``expr`` then ``delay``, with its colour and negative-delay
-  checks, and only then consumes the inputs and adds the outputs.  A
-  firing that raises, whether in a check or in an arc expression,
-  leaves the marking, ``step_count`` and the memos as they were; RNG
-  draws that earlier arcs already made are not undone.
-  Each output's colour check, timedness and constant or function delay
-  are fixed at build time.
+  order ``expr`` then ``delay``, with its colour check and, for a delay
+  function, the check for an int of 0 or more; only then does it
+  consume the inputs and add the outputs.  A firing that raises,
+  whether in a check or in an arc expression, leaves the marking,
+  ``step_count`` and the memos as they were; RNG draws that earlier
+  arcs already made are not undone.
 
 Determinism contract:
 
@@ -67,13 +65,13 @@ Determinism contract:
 Enumeration is memoised per transition in ``state.cache``.  A memo
 holds the transition's enabled assignments at ``state.now``, ``None``
 when stale, and stays valid until the ready tokens of one of its input
-places change.  Each compiled ``fire`` holds a tuple, fixed at build
-time, of the memos it clears on every firing: those of the watchers of
-its input places, of its untimed output places and of its timed output
-places with constant delay 0.  Only a delay function that returns 0
-clears more, its place's watchers, at run time; a token stamped later
-changes nothing until the clock reaches it.  ``step`` makes one pass
-over the memos (:func:`_refresh_memos`) that rebuilds the cleared ones,
+places change.  Each generated ``fire`` clears, on every firing, the
+memos of the watchers of its input places, of its untimed output
+places and of its timed output places with constant delay 0.  Only a
+delay function that returns 0 clears more, its place's watchers, at
+run time; a token stamped later changes nothing until the clock
+reaches it.  ``step`` makes one pass over the memos, the generated
+``net.refresh(cache, store, now)``, that rebuilds the cleared ones,
 sums their lengths to get the number ``n`` of enabled bindings and
 notes the last transition with a non-empty memo.  With ``n == 1``, the
 common case, that memo's one binding fires without a draw or a second
@@ -99,9 +97,10 @@ the old time gives too.
 
 from __future__ import annotations
 
+import linecache
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -225,10 +224,10 @@ class OutputArc:
     """Produces one token per firing.
 
     ``expr(assignment, state)`` yields the token value; ``delay`` is
-    either an int or ``delay(assignment, state)`` yielding milliseconds.
-    The produced token's timestamp is ``state.now + delay`` on timed
-    places; untimed target places require the constant delay 0, and a
-    constant delay must not be negative.  A firing evaluates every
+    either an int or ``delay(assignment, state)`` yielding an int, in
+    milliseconds.  The produced token's timestamp is ``state.now +
+    delay`` on timed places; untimed target places require the constant
+    delay 0, and no delay may be negative.  A firing evaluates every
     output arc, ``expr`` then ``delay`` in arc order, before it consumes
     any input token, so an expression sees the marking as it was when
     the binding was enabled, and one that raises leaves the marking,
@@ -253,11 +252,11 @@ class TransitionSpec:
 
 
 class _CompiledTransition(NamedTuple):
-    """A transition as the engine runs it: two functions built with the net.
+    """A transition as the engine runs it: two generated functions.
 
     ``bindings(store, now)`` lists the enabled assignments in
     enumeration order; ``fire(state, assignment)`` fires one of them.
-    ``spec`` is the declaration they were built from.
+    :func:`compile_transition` writes their source from ``spec``.
     """
 
     name: str
@@ -271,7 +270,8 @@ class Net:
 
     Transitions are stored sorted by name, and binding enumeration
     visits them in that order, so event traces are reproducible.  Each
-    is compiled once, here, by :func:`compile_transition`.
+    is compiled once, here, by :func:`compile_transition`, and so is
+    ``refresh(cache, store, now)``, the memo pass of :func:`step`.
     """
 
     def __init__(self, places: list[Place], transitions: list[TransitionSpec]):
@@ -303,6 +303,8 @@ class Net:
         self.transition_index: dict[str, int] = {
             t.name: i for i, t in enumerate(self.transitions)
         }
+        self.refresh: Callable[[list, list, int], tuple[int, int]] = (
+            _compile_refresh(self.transitions))
 
     def _arcs(self, spec: TransitionSpec):
         """Checked ``(place index, pattern)`` and ``(place index, OutputArc)`` lists."""
@@ -312,6 +314,13 @@ class Net:
             if not isinstance(pattern, (Var, All)):
                 raise ModelStructureError(
                     f"transition {spec.name}: unknown input pattern {pattern!r}"
+                )
+            # The name enters the generated source as a literal; a str
+            # subclass could bring its own repr.
+            if type(pattern.name) is not str:
+                raise ModelStructureError(
+                    f"transition {spec.name}: variable name "
+                    f"{pattern.name!r} is not a str"
                 )
             # An All arc's count is exact only where every token is
             # always ready; on a timed place it would depend on the clock.
@@ -336,6 +345,12 @@ class Net:
         for arc in spec.outputs:
             idx = self._place_idx(spec.name, arc.place)
             constant = not callable(arc.delay)
+            # A stamp is int ms, like the clock.
+            if constant and not _is_int(arc.delay):
+                raise ModelStructureError(
+                    f"transition {spec.name}: delay {arc.delay!r} on place "
+                    f"{arc.place} is neither an int nor a function"
+                )
             if not self.places[idx].timed and not (constant and arc.delay == 0):
                 raise ModelStructureError(
                     f"transition {spec.name}: delay on untimed place {arc.place}"
@@ -405,16 +420,17 @@ def _normalize_tokens(place: Place, tokens) -> list[tuple[Any, int]]:
     """A place's ``(value, timestamp)`` list from user-supplied tokens.
 
     ``tokens`` is an iterable of tokens, counted with multiplicity; a
-    dict is rejected, as its keys would be taken for the tokens.  On
+    dict is rejected, as its keys would be taken for the tokens, and so
+    are a ``str`` and ``bytes``, whose items are characters or ints.  On
     a timed place each token must be a ``(value, timestamp)`` pair, and
     the list is sorted by timestamp, stably; on an untimed place each is
     a bare value, stamped 0 and kept in the given order.  Every value
     must be in the place's colour set.
     """
-    if isinstance(tokens, dict):
+    if isinstance(tokens, (dict, str, bytes)):
         raise ModelStructureError(
             f"tokens of place {place.name} must be an iterable of tokens, "
-            f"not a mapping: {tokens!r}"
+            f"not a mapping, str or bytes: {tokens!r}"
         )
     if place.timed:
         entries = []
@@ -485,6 +501,10 @@ class SimState:
         if not _is_int(now) or now < 0:
             raise ModelStructureError(
                 f"model time must be an int of 0 or more, got {now!r}")
+        if not isinstance(marking, Mapping):
+            raise ModelStructureError(
+                "a marking must map place names to tokens, got a "
+                f"{type(marking).__name__}")
         store: list[list] = [[] for _ in net.places]
         for name, tokens in marking.items():
             idx = _index_of(net, name)
@@ -550,87 +570,6 @@ def _ready_candidates(tokens, now):
     return _distinct(sorted(map(_value, tokens[:i])))
 
 
-def _var_bindings(arc, guard):
-    """One ``Var`` arc: each ready value is one binding, no product."""
-    p, name = arc
-
-    def bindings(store, now):
-        tokens = store[p]
-        if not tokens:
-            return []
-        out = []
-        for value in _ready_candidates(tokens, now):
-            assign = {name: value}
-            if guard is None or guard(assign):
-                out.append(assign)
-        return out
-
-    return bindings
-
-
-def _var_pair_bindings(arc1, arc2, guard):
-    """Two ``Var`` arcs: the product of the two candidate lists, as a
-    double loop in the order of the general product."""
-    p1, name1 = arc1
-    p2, name2 = arc2
-
-    def bindings(store, now):
-        tokens1, tokens2 = store[p1], store[p2]
-        if not tokens1 or not tokens2:
-            return []
-        first = _ready_candidates(tokens1, now)
-        if not first:
-            return []
-        second = _ready_candidates(tokens2, now)
-        out = []
-        for v1 in first:
-            for v2 in second:
-                assign = {name1: v1, name2: v2}
-                if guard is None or guard(assign):
-                    out.append(assign)
-        return out
-
-    return bindings
-
-
-def _product_bindings(var_arcs, all_arcs, guard):
-    """The general product of the ``Var`` arcs' candidates and the
-    ``All`` arcs' tuples.
-
-    The ``All`` arcs' variables come first in every assignment, then the
-    ``Var`` arcs' in arc order.  An ``All`` arc sits on an untimed place
-    (``Net`` checks this), so its whole population is ready and a count
-    test decides it.
-    """
-    var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
-    var_names = tuple(name for _p, name in var_arcs)
-
-    def bindings(store, now):
-        for p, _name, require in all_arcs:
-            if len(store[p]) != require:
-                return []
-        for p, _name in var_arcs:
-            if not store[p]:
-                return []
-        fixed = {name: tuple(sorted(map(_value, store[p])))
-                 for p, name, _r in all_arcs}
-        lists = []
-        for p, _name in var_arcs:
-            ready = _ready_candidates(store[p], now)
-            if not ready:
-                return []
-            lists.append(ready)
-        out = []
-        for values in product(*lists):
-            assign = dict(fixed)
-            assign.update(zip(var_names, values))
-            if guard is None or guard(assign):
-                out.append(assign)
-        return out
-
-    return bindings
-
-
 def _remove_value(tokens, value, now):
     """Remove the ready token of ``value`` with the smallest timestamp.
 
@@ -656,110 +595,144 @@ def _outside(t_name, place, value):
     )
 
 
-def _emitter(t_name, place, arc):
-    """``emit(assign, state, now) -> (value, timestamp)`` for one output arc.
+def _bad_delay(t_name, delay):
+    kind = "negative" if _is_int(delay) else "non-int"
+    return ModelStructureError(
+        f"transition {t_name} produced a {kind} delay {delay!r}")
 
-    The colour check, the place's timedness and the delay's form are
-    fixed here.  ``emit`` changes nothing; it raises
-    :class:`ModelStructureError` for a value outside the colour set or a
-    negative delay.
+
+def _define(kind, filename, lines, namespace):
+    """The function ``kind`` that the source ``lines`` define in ``namespace``.
+
+    The source goes into :mod:`linecache` under ``filename``, so a
+    traceback shows the generated line.  The function is taken out of
+    ``namespace``, its globals, so the two make no reference cycle.
     """
-    expr, delay = arc.expr, arc.delay
-    check = place.colour.contains
-
-    if callable(delay):
-        def emit(assign, state, now):
-            value = expr(assign, state)
-            if not check(value):
-                raise _outside(t_name, place, value)
-            d = delay(assign, state)
-            if d < 0:
-                raise ModelStructureError(
-                    f"transition {t_name} produced a negative delay {d}"
-                )
-            return value, now + d
-    elif place.timed:
-        def emit(assign, state, now):
-            value = expr(assign, state)
-            if not check(value):
-                raise _outside(t_name, place, value)
-            return value, now + delay
-    else:
-        def emit(assign, state, now):
-            value = expr(assign, state)
-            if not check(value):
-                raise _outside(t_name, place, value)
-            return value, 0
-    return emit
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename)
+    return namespace.pop(kind)
 
 
 def compile_transition(net, spec, in_arcs, out_arcs):
-    """The transition's ``bindings`` and ``fire`` functions.
+    """The transition's ``bindings`` and ``fire`` functions, generated.
 
     ``in_arcs`` holds ``(place index, Var or All)`` and ``out_arcs``
     ``(place index, OutputArc)`` pairs, checked by ``Net``, whose
-    ``place_watchers`` must already be set.
+    ``place_watchers`` must already be set.  Place and memo indices
+    enter the source as int literals and variable names, which ``Net``
+    requires to be ``str``, as ``repr`` literals; everything else from
+    the spec is read from the functions' shared globals.
     """
     places, watchers = net.places, net.place_watchers
-    # The memos every firing clears; see the module docstring.
-    cleared = set()
-    var_arcs, all_arcs = [], []
+    ns = {"NAME": spec.name, "guard": spec.guard, "insort": insort,
+          "_bad_delay": _bad_delay, "_is_int": _is_int, "_outside": _outside,
+          "_ready_candidates": _ready_candidates,
+          "_remove_value": _remove_value, "_stamp": _stamp, "_value": _value}
+    var_arcs = [(p, pattern.name) for p, pattern in in_arcs
+                if type(pattern) is Var]
+    all_arcs = []
     for p, pattern in in_arcs:
-        cleared.update(watchers[p])
         if type(pattern) is All:
-            all_arcs.append((p, pattern.name, pattern.require))
-        else:
-            var_arcs.append((p, pattern.name))
-    if not all_arcs and len(var_arcs) == 1:
-        bindings = _var_bindings(var_arcs[0], spec.guard)
-    elif not all_arcs and len(var_arcs) == 2:
-        bindings = _var_pair_bindings(*var_arcs, spec.guard)
+            ns[f"require{len(all_arcs)}"] = pattern.require
+            all_arcs.append((p, pattern.name))
+
+    # bindings: the count and empty tests, then one nested loop per Var
+    # arc over its candidates, the All arcs' tuples first in each
+    # assignment.
+    src = ["def bindings(store, now):"]
+    src += [f"    if len(store[{p}]) != require{i}: return []"
+            for i, (p, _name) in enumerate(all_arcs)]
+    src += [f"    if not store[{p}]: return []" for p, _name in var_arcs]
+    src += [f"    all{i} = tuple(sorted(map(_value, store[{p}])))"
+            for i, (p, _name) in enumerate(all_arcs)]
+    for i, (p, _name) in enumerate(var_arcs):
+        src.append(f"    ready{i} = _ready_candidates(store[{p}], now)")
+        if i < len(var_arcs) - 1:
+            src.append(f"    if not ready{i}: return []")
+    src.append("    out = []")
+    src += [f"{'    ' * (i + 1)}for v{i} in ready{i}:"
+            for i in range(len(var_arcs))]
+    indent = "    " * (len(var_arcs) + 1)
+    items = [f"{name!r}: all{i}" for i, (_p, name) in enumerate(all_arcs)]
+    items += [f"{name!r}: v{i}" for i, (_p, name) in enumerate(var_arcs)]
+    assign = "{" + ", ".join(items) + "}"
+    if spec.guard is None:
+        src.append(f"{indent}out.append({assign})")
     else:
-        bindings = _product_bindings(var_arcs, all_arcs, spec.guard)
+        src += [f"{indent}assign = {assign}",
+                f"{indent}if guard(assign): out.append(assign)"]
+    src.append("    return out")
+    bindings = _define("bindings", f"<cpnsim bindings {spec.name}>", src, ns)
 
-    emits, targets = [], []
-    for p, arc in out_arcs:
-        emits.append(_emitter(spec.name, places[p], arc))
+    # fire: every output's value and checks before anything changes, so
+    # a raise leaves the marking, step count and memos as they were;
+    # then consume, clear the memos this firing always clears (see the
+    # module docstring), add the outputs and, for a delay function that
+    # returned 0, clear its place's watchers too.
+    cleared = {w for p, _pattern in in_arcs for w in watchers[p]}
+    src = ["def fire(state, assign):",
+           "    now = state.now"]
+    for i, (p, arc) in enumerate(out_arcs):
+        ns.update({f"expr{i}": arc.expr, f"check{i}": places[p].colour.contains,
+                   f"place{i}": places[p], f"delay{i}": arc.delay})
+        src += [f"    value{i} = expr{i}(assign, state)",
+                f"    if not check{i}(value{i}): "
+                f"raise _outside(NAME, place{i}, value{i})"]
         if callable(arc.delay):
-            # Cleared at run time, only when the delay is 0.
-            targets.append((p, True, watchers[p]))
+            src += [f"    d{i} = delay{i}(assign, state)",
+                    f"    if not _is_int(d{i}) or d{i} < 0: "
+                    f"raise _bad_delay(NAME, d{i})"]
+        elif arc.delay == 0:
+            cleared.update(watchers[p])
+    src.append("    store = state.store")
+    src += [f"    _remove_value(store[{p}], assign[{name!r}], now)"
+            for p, name in var_arcs]
+    for i, (p, _name) in enumerate(all_arcs):
+        src += [f"    assert len(store[{p}]) == require{i}, "
+                "'population changed since enumeration'",
+                f"    store[{p}].clear()"]
+    src.append("    cache = state.cache")
+    if cleared:
+        src.append("    " + " = ".join(f"cache[{w}]" for w in sorted(cleared))
+                   + " = None")
+    for i, (p, arc) in enumerate(out_arcs):
+        stamp = f"now + d{i}" if callable(arc.delay) else f"now + delay{i}"
+        if places[p].timed:
+            src.append(f"    insort(store[{p}], (value{i}, {stamp}), key=_stamp)")
         else:
-            if arc.delay == 0:
-                cleared.update(watchers[p])
-            targets.append((p, places[p].timed, ()))
-    clear = tuple(cleared)
-    emits, targets = tuple(emits), tuple(targets)
-    var_arcs, all_arcs = tuple(var_arcs), tuple(all_arcs)
-
-    def fire(state, assign):
-        # Evaluate every output before consuming: a raise leaves the
-        # marking, step count and memos as they were.
-        now = state.now
-        made = []
-        for emit in emits:
-            made.append(emit(assign, state, now))
-        store = state.store
-        for p, name in var_arcs:
-            _remove_value(store[p], assign[name], now)
-        for p, _name, require in all_arcs:
-            tokens = store[p]
-            assert len(tokens) == require, (
-                "population changed since enumeration")
-            tokens.clear()
-        cache = state.cache
-        for w in clear:
-            cache[w] = None
-        for (p, timed, late), tok in zip(targets, made):
-            if not timed:
-                store[p].append(tok)
-                continue
-            insort(store[p], tok, key=_stamp)
-            if tok[1] <= now:
-                for w in late:
-                    cache[w] = None
-        state.step_count += 1
-
+            src.append(f"    store[{p}].append((value{i}, 0))")
+    for i, (p, arc) in enumerate(out_arcs):
+        late = [f"cache[{w}]" for w in watchers[p] if w not in cleared]
+        if callable(arc.delay) and late:
+            src.append(f"    if not d{i}: " + " = ".join(late) + " = None")
+    src.append("    state.step_count += 1")
+    fire = _define("fire", f"<cpnsim fire {spec.name}>", src, ns)
     return _CompiledTransition(spec.name, spec, bindings, fire)
+
+
+def _compile_refresh(transitions):
+    """``refresh(cache, store, now)``, the memo pass: rebuild the stale memos.
+
+    It returns the number ``n`` of enabled bindings and the index of
+    the last transition with a non-empty memo (-1 when ``n`` is 0).
+    Rebuilt in transition order, the memos list what
+    :func:`enumerate_bindings` lists.
+    """
+    ns = {f"bindings{t_idx}": t.bindings for t_idx, t in enumerate(transitions)}
+    src = ["def refresh(cache, store, now):",
+           "    n = 0",
+           "    last = -1"]
+    for t_idx in range(len(transitions)):
+        src += [f"    memo = cache[{t_idx}]",
+                "    if memo is None:",
+                f"        memo = cache[{t_idx}] = bindings{t_idx}(store, now)",
+                "    if memo:",
+                "        n += len(memo)",
+                f"        last = {t_idx}"]
+    src.append("    return n, last")
+    return _define("refresh", "<cpnsim refresh>", src, ns)
 
 
 def enumerate_bindings(net, store, now):
@@ -771,40 +744,16 @@ def enumerate_bindings(net, store, now):
     ]
 
 
-def _refresh_memos(net, state):
-    """Rebuild the stale memos in one pass; return ``(n, last)``.
-
-    ``n`` is the number of enabled bindings, the sum of the memos'
-    lengths, and ``last`` the index of the last transition whose memo
-    is non-empty (-1 when ``n`` is 0), so that with ``n == 1`` the
-    binding is ``state.cache[last][0]``.  Rebuild order matches the
-    stateless enumeration exactly, so the memos, read in transition
-    order, list what :func:`enumerate_bindings` lists.
-    """
-    cache = state.cache
-    store, now = state.store, state.now
-    transitions = net.transitions
-    n = 0
-    last = -1
-    for t_idx, memo in enumerate(cache):
-        if memo is None:
-            memo = cache[t_idx] = transitions[t_idx].bindings(store, now)
-        if memo:
-            n += len(memo)
-            last = t_idx
-    return n, last
-
-
 def step(net, state):
     """Fire one enabled binding (uniform choice) or advance model time.
 
-    One pass over the memos (:func:`_refresh_memos`) gives the number
-    ``n`` of enabled bindings.  With one, its binding fires without a
+    One pass over the memos (``net.refresh``) gives the number ``n`` of
+    enabled bindings.  With one, its binding fires without a
     draw or a walk; with more, ``k`` is drawn and the memos are walked
     in transition order to the ``k``-th binding.  Returns the resulting
     :class:`Fired`, :class:`TimeAdvanced` or :class:`DeadMarking` event.
     """
-    n, t_idx = _refresh_memos(net, state)
+    n, t_idx = net.refresh(state.cache, state.store, state.now)
     if n:
         if n == 1:
             assign = state.cache[t_idx][0]
@@ -844,7 +793,7 @@ def step(net, state):
             for w in watchers[p]:
                 cache[w] = None
         state.now = now = t
-        if _refresh_memos(net, state)[0]:
+        if net.refresh(cache, store, now)[0]:
             return TimeAdvanced(previous, t)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,6 @@ from cpnsim.engine import (
     StepLimitExceeded,
     TimeAdvanced,
     Var,
-    _refresh_memos,
     _remove_value,
     advance_time,
     enabled_bindings,
@@ -36,20 +37,20 @@ def state_of(net, marking, seed=1234, now=0):
     return SimState(net, marking, RngStream(seed), now=now)
 
 
-def assert_failed_firing_changes_nothing(net, state, error):
+def assert_failed_firing_changes_nothing(net, state, error, match=None):
     """``fire`` and ``step`` both raise ``error`` and leave the state as it was.
 
     The memos are built first, so a firing that cleared them before
     raising would show.  The binding is still enabled afterwards.
     """
     [(name, binding)] = enabled_bindings(net, state)
-    assert _refresh_memos(net, state) == (
+    assert net.refresh(state.cache, state.store, state.now) == (
         1, net.transition_index[name])
     before = ([list(tokens) for tokens in state.store], state.step_count,
               list(state.cache))
     for attempt in (lambda: fire(net, state, name, binding),
                     lambda: step(net, state)):
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             attempt()
         assert ([list(tokens) for tokens in state.store], state.step_count,
                 list(state.cache)) == before
@@ -92,11 +93,16 @@ class TestAddTokens:
             state_of(net, {"tp1": [token]})
 
     # A token -> count mapping iterates as its keys: {5: 3} would become
-    # one token 5, and {master: 1, client: 24} two nodes.
-    @pytest.mark.parametrize("tokens", [{5: 3}, {5: 1, 6: 24}])
+    # one token 5, and {master: 1, client: 24} two nodes.  A str iterates
+    # as its characters, and bytes as the ints 97, 98 and 99.
+    @pytest.mark.parametrize("tokens", [{5: 3}, {5: 1, 6: 24}, "abc", b"abc"])
     def test_a_mapping_of_tokens_rejected(self, guard_net, tokens):
         with pytest.raises(ModelStructureError, match="place p1 .* mapping"):
             state_of(guard_net, {"p1": tokens})
+
+    def test_a_marking_that_is_no_mapping_rejected(self, guard_net):
+        with pytest.raises(ModelStructureError, match="marking .* list"):
+            state_of(guard_net, [("p1", [1])])
 
     def test_timed_tokens_are_sorted_stably_by_stamp(self):
         net, _marking = build_delay_net(with_consumer=False)
@@ -307,15 +313,20 @@ class TestFire:
         assert state.tokens("src") == [(5, 7, 1)]  # the @3 token went first
 
     def test_negative_runtime_delay_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET, timed=True)
-        b.place("b", INT_SET, timed=True)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("b", lambda v, s: v["x"],
-                                        delay=lambda v, s: -1)])
-        net = b.build()
-        state = state_of(net, {"a": [(1, 0)]})
-        assert_failed_firing_changes_nothing(net, state, ModelStructureError)
+        # So is one that is not an int: 0.5 would stamp 0.5, True 1.
+        for delay, message in ((-1, "negative delay -1"),
+                               (0.5, "non-int delay 0.5"),
+                               (True, "non-int delay True")):
+            b = NetBuilder()
+            b.place("a", INT_SET, timed=True)
+            b.place("b", INT_SET, timed=True)
+            b.transition("t", inputs=[("a", Var("x"))],
+                         outputs=[OutputArc("b", lambda v, s: v["x"],
+                                            delay=lambda v, s, d=delay: d)])
+            net = b.build()
+            state = state_of(net, {"a": [(1, 0)]})
+            assert_failed_firing_changes_nothing(
+                net, state, ModelStructureError, match=message)
 
     def test_raising_arc_expression_changes_nothing(self):
         # The first output is fine; the second raises.
@@ -330,12 +341,43 @@ class TestFire:
         assert_failed_firing_changes_nothing(net, state, ZeroDivisionError)
 
     def test_negative_constant_delay_rejected(self):
+        # So is one that is not an int: 2.5 would move the clock to 2.5,
+        # and True stamp 1.
+        for delay, message in ((-1, "negative delay"),
+                               (2.5, "delay 2.5 .* neither an int"),
+                               (True, "delay True .* neither an int")):
+            b = NetBuilder()
+            b.place("a", INT_SET, timed=True)
+            b.transition("t", inputs=[("a", Var("x"))],
+                         outputs=[OutputArc("a", lambda v, s: v["x"], delay)])
+            with pytest.raises(ModelStructureError, match=message):
+                b.build()
+
+    def test_tracebacks_show_the_generated_lines(self):
+        # A failed replication is logged with this traceback text: it
+        # names the generated file and shows the line that raised.
         b = NetBuilder()
-        b.place("a", INT_SET, timed=True)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("a", lambda v, s: v["x"], delay=-1)])
-        with pytest.raises(ModelStructureError, match="negative delay"):
-            b.build()
+        b.place("a", INT_SET)
+        b.place("b", INT_SET)
+        b.transition("boom", [("a", Var("x"))],
+                     [OutputArc("b", lambda v, s: 1 // 0)])
+        b.transition("picky", [("b", Var("y"))], [],
+                     guard=lambda v: 1 // 0 == v["y"])
+        net = b.build()
+        for marking, filename, call in (
+                ({"a": [1]}, "<cpnsim fire boom>", "expr"),
+                ({"b": [1]}, "<cpnsim bindings picky>", "guard(")):
+            try:
+                step(net, state_of(net, marking))
+            except ZeroDivisionError as error:
+                text = traceback.format_exc()
+                frames = traceback.extract_tb(error.__traceback__)
+            else:
+                pytest.fail("the step did not raise")
+            [frame] = [f for f in frames if f.filename == filename]
+            assert call in frame.line
+            assert f'File "{filename}", line {frame.lineno}' in text
+            assert frame.line in text
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +654,8 @@ class TestNetValidation:
                 b.build()
 
     def test_produced_value_outside_colour_set_rejected(self):
-        # Each output shape (untimed, constant delay, delay function)
-        # has its own emitter, and each checks the colour.
+        # Each output form (untimed, constant delay, delay function)
+        # generates its own lines, and each checks the colour.
         for timed, delay in ((False, 0), (True, 3), (True, lambda v, s: 3)):
             b = NetBuilder()
             b.place("a", INT_SET)
@@ -632,9 +674,11 @@ class TestNetValidation:
         [("a", All("xs", 1)), ("a", Var("y"))],
         [("a", All("x", 1)), ("b", Var("x"))],
         [("a", "x")],
+        [("a", Var(3))],
+        [("a", All(b"xs", 1))],
     ], ids=["two-vars-one-place", "one-var-two-places",
             "all-and-var-one-place", "all-and-var-one-variable",
-            "unknown-pattern"])
+            "unknown-pattern", "var-name-not-a-str", "all-name-not-a-str"])
     def test_input_arcs_need_their_own_place_and_variable(self, inputs):
         b = NetBuilder()
         b.place("a", INT_SET)

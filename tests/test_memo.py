@@ -29,7 +29,6 @@ from cpnsim.engine import (
     SimState,
     TimeAdvanced,
     Var,
-    _refresh_memos,
     advance_time,
     enabled_bindings,
     enumerate_bindings,
@@ -81,7 +80,7 @@ def reference_bindings(net, store, now):
 
 def check_state(net, state):
     """The memos agree with the marking."""
-    n, last = _refresh_memos(net, state)
+    n, last = net.refresh(state.cache, state.store, state.now)
     memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
              for assign in memo]
     assert len(memos) == n
@@ -218,7 +217,7 @@ class TestStepReadsTheMemos:
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
         state = SimState(net, marking, PickStub(0, 6))
-        assert _refresh_memos(net, state) == (6, 2)
+        assert net.refresh(state.cache, state.store, state.now) == (6, 2)
         assert [len(memo) for memo in state.cache] == [2, 0, 4]
         for k in range(6):
             state = SimState(net, marking, PickStub(k, 6))
@@ -231,7 +230,7 @@ class TestStepReadsTheMemos:
         net, _marking = self.gapped_net()
         marking = {"p1": [3, 7]}
         state = SimState(net, marking, NoPick())
-        assert _refresh_memos(net, state) == (1, 1)
+        assert net.refresh(state.cache, state.store, state.now) == (1, 1)
         assert step(net, state) == Fired("b", {"x": 7}, 0)
         assert state.tokens("p1") == [(3, None, 1)]
 
@@ -369,3 +368,42 @@ def test_generated_nets_step_like_the_stateless_reference(case, seed):
             return
         else:
             assert event == TimeAdvanced(before, expected)
+
+
+# ---------------------------------------------------------------------------
+# Names in the generated source
+# ---------------------------------------------------------------------------
+
+def test_names_with_quotes_backslashes_and_newlines():
+    # Every name holds both quotes, a backslash and a newline; a name
+    # pasted into the generated source unquoted would not compile.
+    odd = "'\"\\\n"
+    b = NetBuilder()
+    b.place(f"p{odd}", INT_SET)
+    b.place(f"q{odd}", INT_SET)
+    b.place(f"r{odd}", INT_SET, timed=True)
+    b.transition(f"t{odd}", [(f"p{odd}", Var(f"x{odd}")),
+                             (f"r{odd}", Var(f"y{odd}"))],
+                 [OutputArc(f"q{odd}",
+                            lambda v, s: v[f"x{odd}"] + v[f"y{odd}"])],
+                 guard=lambda v: v[f"x{odd}"] != v[f"y{odd}"])
+    b.transition(f"u{odd}", [(f"q{odd}", All(f"all{odd}", 2))],
+                 [OutputArc(f"r{odd}", lambda v, s: sum(v[f"all{odd}"]) % 3,
+                            delay=lambda v, s: 1)])
+    net = b.build()
+    marking = {f"p{odd}": [1, 2, 2, 0], f"r{odd}": [(0, 0), (1, 3)]}
+    for seed in range(3):
+        hook = checked_run(net, marking, seed)
+        assert hook.fired == {f"t{odd}", f"u{odd}"}
+
+
+def test_a_transition_without_inputs_lists_one_empty_assignment():
+    b = NetBuilder()
+    b.place("p", INT_SET)
+    b.transition("source", [], [OutputArc("p", lambda v, s: 1)])
+    net = b.build()
+    state = SimState(net, {}, NoPick())
+    assert enumerate_bindings(net, state.store, 0) == [(0, {})]
+    assert reference_bindings(net, state.store, 0) == [(0, {})]
+    assert step(net, state) == Fired("source", {}, 0)
+    assert state.tokens("p") == [(1, None, 1)]
