@@ -4,7 +4,8 @@ Runs the configured sweep and writes, under --out: summary.csv with one
 aggregated row per sweep point, one <scene>_<scenario>.dat plot series
 per curve, and one records_<scene>_<scenario>.tsv with the raw
 per-scene monitor records.  Aborted and failed replications are named
-on stderr; the exit status is 1 if any replication failed.
+on stderr; the exit status is 1 if any replication failed.  The sweep
+options' defaults are :class:`ExperimentPlan`'s.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import sys
 import typing
 from pathlib import Path
 
-from cpnsim.engine import DEFAULT_STEP_LIMIT
 from cpnsim.experiment import (
-    DEFAULT_NODE_COUNTS,
     PARAM_NAMES,
     ExperimentPlan,
     SweepPoint,
     run_experiment_detailed,
 )
-from cpnsim.raytrace import ScenarioParams, SceneConfig, SceneRecord
+from cpnsim.raytrace import SCENARIOS, ScenarioParams, SceneConfig, SceneRecord
 
 DEFAULT_SCENES = ("10000x7500", "30000x22500")
 DEFAULT_TILE = "1000x750"
@@ -165,6 +164,7 @@ def read_records(path) -> list[SceneRecord]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    plan = ExperimentPlan
     parser = argparse.ArgumentParser(
         prog="cpnsim",
         description="Sweep a raytracing-cluster simulation over node counts "
@@ -188,35 +188,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw each scene's complexity uniformly from [LO, HI]",
     )
     parser.add_argument(
-        "--nodes", type=_node_counts, default=DEFAULT_NODE_COUNTS,
-        metavar="LIST|RANGE", help="node counts, e.g. 2,5,10 or 1-25 (default 1-25)",
+        "--nodes", type=_node_counts, default=plan.node_counts,
+        metavar="LIST|RANGE", help="node counts, e.g. 2,5,10 or 1-25 (default "
+        f"{plan.node_counts[0]}-{plan.node_counts[-1]})",
     )
     parser.add_argument(
-        "--scenario", choices=("ideal", "real", "both"), default="both",
+        "--scenario", choices=(*SCENARIOS, "both"), default="both",
         help="which scenarios to run (default both)",
     )
     parser.add_argument(
-        "--replications", type=int, default=30, metavar="N",
-        help="independent runs per sweep point (default 30)",
+        "--replications", type=int, default=plan.replications, metavar="N",
+        help=f"independent runs per sweep point (default {plan.replications})",
     )
     parser.add_argument(
-        "--seed", type=int, default=1, metavar="N",
-        help="base seed; every replication derives its own stream (default 1)",
+        "--seed", type=int, default=plan.base_seed, metavar="N",
+        help="base seed; every replication derives its own stream "
+             f"(default {plan.base_seed})",
     )
     parser.add_argument(
-        "--scenes-per-run", type=int, default=1, metavar="N",
-        help="scenes rendered per replication (default 1)",
+        "--scenes-per-run", type=int, default=plan.scenes_per_run, metavar="N",
+        help=f"scenes rendered per replication (default {plan.scenes_per_run})",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("results"), metavar="DIR",
         help="output directory (default ./results)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for replications (default 1)",
+        "--jobs", type=int, default=plan.jobs, metavar="N",
+        help=f"worker processes for replications (default {plan.jobs})",
     )
     parser.add_argument(
-        "--step-limit", type=int, default=DEFAULT_STEP_LIMIT, metavar="N",
+        "--step-limit", type=int, default=plan.step_limit, metavar="N",
         help="abort a replication after this many engine steps",
     )
     params = parser.add_argument_group("model parameters")
@@ -241,7 +243,7 @@ def plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
     scenes = tuple(
         SceneConfig(w, h, tile_w, tile_h, complexity) for w, h in scene_dims
     )
-    scenarios = ("ideal", "real") if args.scenario == "both" else (args.scenario,)
+    scenarios = SCENARIOS if args.scenario == "both" else (args.scenario,)
     overrides = tuple(
         (name, getattr(args, f"param_{name}"))
         for name in PARAM_NAMES

@@ -9,8 +9,8 @@ even when replications run in parallel worker processes.  With
 process-pool modules are imported only by a sweep with ``jobs > 1``.
 
 A replication that hits the step limit is *aborted*; one that raises
-is *failed*.  Both are named by their seed path; neither stops the
-sweep, and neither counts towards its point's aggregates.
+is *failed*.  The process that ran it names either by its seed path;
+neither stops the sweep or counts towards its point's aggregates.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from cpnsim.raytrace import (
     ScenarioParams,
     attach_scene_monitor,
     build_net,
+    check_durations,
 )
 from cpnsim.stochastic import RngStream, seed_label
 
@@ -79,11 +80,6 @@ class ExperimentPlan:
             raise ValueError(f"duplicate scenes in {labels}")
         if not self.scenarios:
             raise ValueError("scenarios must not be empty")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ValueError(f"unknown scenario {s!r}")
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValueError(f"duplicate scenarios in {self.scenarios}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.scenes_per_run < 1:
@@ -102,7 +98,11 @@ class ExperimentPlan:
             if names.count(name) > 1:
                 raise ValueError(f"parameter {name!r} is overridden twice")
         for s in self.scenarios:
-            self.params_for(s, min(self.node_counts))
+            params = self.params_for(s, min(self.node_counts))
+            for scene in self.scenes:
+                check_durations(scene, params)
+        if len(set(self.scenarios)) != len(self.scenarios):
+            raise ValueError(f"duplicate scenarios in {self.scenarios}")
 
     def params_for(self, scenario: str, node_count: int) -> ScenarioParams:
         return ScenarioParams(
@@ -175,44 +175,45 @@ def _run_replication(scene: SceneConfig, params: ScenarioParams,
     net, marking = build_net(scene, params, rng)
     state = SimState(net, marking, rng)
     hooks: list = []
-    monitor = attach_scene_monitor(hooks)
+    records = attach_scene_monitor(hooks).records
 
     def stop(st, event):
-        return monitor.scenes_completed >= scenes_per_run
+        return len(records) >= scenes_per_run
 
     try:
         run(net, state, stop=stop, hooks=hooks, max_steps=step_limit)
     except StepLimitExceeded:
         return None
-    if monitor.scenes_completed < scenes_per_run:
-        return None
-    return monitor.records
+    return records if len(records) >= scenes_per_run else None
 
 
 def _replication_task(args):
-    """Records of one replication, None if aborted, or its failure.
+    """Records of one replication, or its abort or failure report.
 
     Catches every error, logging its traceback, so that one failing
     replication ends neither the sweep nor, with ``--jobs``, the pool.
     """
     scene, params, seed_path, step_limit, scenes_per_run = args
+    where = scene.label, params.scenario, params.node_count, seed_label(seed_path)
     try:
-        return _run_replication(scene, params, seed_path, step_limit,
-                                scenes_per_run)
+        records = _run_replication(scene, params, seed_path, step_limit,
+                                   scenes_per_run)
     except Exception as exc:
-        seed = seed_label(seed_path)
-        logger.exception("replication failed: seed=%s", seed)
-        return FailedReplication(scene.label, params.scenario, params.node_count,
-                                 seed, f"{type(exc).__name__}: {exc}")
+        logger.exception("replication failed: seed=%s", where[-1])
+        return FailedReplication(*where, f"{type(exc).__name__}: {exc}")
+    if records is None:
+        logger.warning("replication aborted at step limit: scene=%s "
+                       "scenario=%s nodes=%d seed=%s", *where)
+        return AbortedReplication(*where)
+    return records
 
 
 def _replication_args(plan: ExperimentPlan):
     for index, scene, scenario, node_count in plan.points():
         params = plan.params_for(scenario, node_count)
         for rep in range(plan.replications):
-            seed_path = (plan.base_seed, index, rep)
-            yield (scene, params, seed_path, plan.step_limit,
-                   plan.scenes_per_run)
+            yield (scene, params, (plan.base_seed, index, rep),
+                   plan.step_limit, plan.scenes_per_run)
 
 
 def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
@@ -230,25 +231,17 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
 
     result = ExperimentResult(points=[])
     reps = plan.replications
-    for i, (index, scene, scenario, node_count) in enumerate(plan.points()):
+    for index, scene, scenario, node_count in plan.points():
         point_records: list[SceneRecord] = []
         completed = 0
-        for rep in range(reps):
-            outcome = outcomes[i * reps + rep]
+        for outcome in outcomes[index * reps:(index + 1) * reps]:
             if type(outcome) is FailedReplication:
                 result.failed.append(outcome)
-                continue
-            if outcome is None:
-                seed = seed_label((plan.base_seed, index, rep))
-                result.aborted.append(
-                    AbortedReplication(scene.label, scenario, node_count, seed))
-                logger.warning(
-                    "replication aborted at step limit: scene=%s scenario=%s "
-                    "nodes=%d seed=%s", scene.label, scenario, node_count, seed,
-                )
-                continue
-            completed += 1
-            point_records.extend(outcome)
+            elif type(outcome) is AbortedReplication:
+                result.aborted.append(outcome)
+            else:
+                completed += 1
+                point_records.extend(outcome)
         durations = [r.duration_ms for r in point_records]
         if durations:
             mean_ms = statistics.fmean(durations)
@@ -256,10 +249,7 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
             mean_failures = statistics.fmean(r.failures for r in point_records)
         else:
             mean_ms = std_ms = mean_failures = 0.0
-        result.points.append(
-            SweepPoint(scene.label, scenario, node_count,
-                       mean_ms, std_ms, completed, mean_failures)
-        )
-        key = (scene.label, scenario)
-        result.records.setdefault(key, []).extend(point_records)
+        result.points.append(SweepPoint(scene.label, scenario, node_count,
+                                        mean_ms, std_ms, completed, mean_failures))
+        result.records.setdefault((scene.label, scenario), []).extend(point_records)
     return result

@@ -39,7 +39,9 @@ of a ``(scene, params)`` once and hands the same one to every call with
 equal arguments; each call makes a fresh initial marking.
 
 A :class:`SceneMonitor`, attached as a run hook, reads those
-transitions and emits one :class:`SceneRecord` per completed scene.  It
+transitions and emits one :class:`SceneRecord` per completed scene,
+which lasts from the ``scStartTime`` token that ``completeScene``
+consumes to that firing and is as complex as its tiles together.  It
 never touches the marking or the RNG, so attaching it leaves the event
 trace unchanged.
 """
@@ -292,6 +294,31 @@ def raytrace_ms(tile: Tile, params: ScenarioParams) -> int:
     return round(work / perf)
 
 
+def check_durations(scene: SceneConfig, params: ScenarioParams) -> None:
+    """Raise ValueError if a duration the model computes can overflow.
+
+    The longest raytrace is of a full-size tile on the master that holds
+    all of the scene's largest complexity.  The exponential and normal
+    draws need headroom: 1000 times the mean of the one, and the mean
+    plus 1000 standard deviations of the other, must be finite.
+    """
+    c = scene.complexity
+    longest = Tile(scene.tile_width, scene.tile_height,
+                   c[1] if isinstance(c, tuple) else c, True, MASTER)
+    for what, bound in (
+            (f"the raytrace time of a tile of scene {scene.label}",
+             lambda: raytrace_ms(longest, params)),
+            ("1000 * comm_mean_ms", lambda: 1000 * params.comm_mean_ms),
+            ("send_mean_ms + 1000 * sqrt(send_var)",
+             lambda: params.send_mean_ms + 1000 * math.sqrt(params.send_var))):
+        try:
+            finite = math.isfinite(bound())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{what} overflows in the {params.scenario} scenario")
+
+
 def comm_delay_ms(params: ScenarioParams, rng: RngStream) -> int:
     """Exponential delay for contacting the master and shipping a tile."""
     if params.comm_mean_ms == 0:
@@ -496,9 +523,6 @@ class SceneMonitor:
 
     def __init__(self):
         self.records: list[SceneRecord] = []
-        self.scenes_completed = 0
-        self._start_ms = None
-        self._complexity = None
         self._busy = 0
         self._peak_busy = 0
         self._failures = 0
@@ -516,24 +540,20 @@ class SceneMonitor:
         elif name == "unsucRtrStart":
             self._failures += 1
         elif name == "sendScene":
-            self._start_ms = event.time
-            self._complexity = event.assignment["cmpl"]
             self._peak_busy = self._busy
             self._failures = 0
         elif name == "completeScene":
-            node_count = state.tokens("nodesNo")[0][0]
             self.records.append(
                 SceneRecord(
-                    scene_index=self.scenes_completed,
-                    duration_ms=event.time - self._start_ms,
-                    node_count=node_count,
+                    scene_index=len(self.records),
+                    duration_ms=event.time - event.assignment["started"],
+                    node_count=state.tokens("nodesNo")[0][0],
                     nodes_used=self._peak_busy,
                     failures=self._failures,
-                    complexity=self._complexity,
+                    complexity=sum(t.complexity for t in event.assignment["done"]),
                     seed=state.rng.label,
                 )
             )
-            self.scenes_completed += 1
 
 
 def attach_scene_monitor(hooks: list) -> SceneMonitor:

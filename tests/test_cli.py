@@ -7,6 +7,7 @@ import math
 import pytest
 
 import cpnsim.cli as cli
+from cpnsim import raytrace
 from cpnsim.cli import build_parser, main, plan_from_args
 from cpnsim.cli import read_csv, read_records
 from cpnsim.experiment import DEFAULT_NODE_COUNTS
@@ -219,20 +220,48 @@ class TestEndToEnd:
         dat = (out / "4000x3000_ideal.dat").read_text(encoding="utf-8")
         assert dat == "# nodes seconds\n"
 
+    @pytest.mark.parametrize("flag", [
+        "--param-work_ms_per_complexity 1e308",
+        "--param-work_ms_per_kilopixel 1e308",
+        "--param-master_perf 1e-308",
+        "--param-comm_mean_ms 1e308",
+    ])
+    def test_durations_that_overflow_are_usage_errors(self, flag, tmp_path,
+                                                      capsys):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["--scene", "4000x3000", "--complexity", "1000", "--nodes",
+                  "2", "--scenario", "real", "--replications", "1",
+                  *flag.split(), "--out", str(out)])
+        assert exc.value.code == 2
+        [line] = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert line.startswith("cpnsim: error: ") and "overflows" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_replications_are_named_and_exit_1(self, jobs, tmp_path,
-                                                       capsys):
-        # The plan is valid, but the master's tile time overflows to
-        # infinity in the real scenario only.
+                                                       capsys, monkeypatch):
+        # The plan is valid, but every comm delay of the real scenario
+        # raises.  A fork-started pool's workers inherit the patch.
+        comm_delay_ms = raytrace.comm_delay_ms
+
+        def failing_comm_delay_ms(params, rng):
+            if params.scenario == "real":
+                raise RuntimeError("model bug")
+            return comm_delay_ms(params, rng)
+
+        monkeypatch.setattr(raytrace, "comm_delay_ms", failing_comm_delay_ms)
         out = tmp_path / "r"
         code = main(["--scene", "4000x3000", "--complexity", "1000",
                      "--nodes", "2", "--scenario", "both",
                      "--replications", "2", "--seed", "5", "--jobs", jobs,
-                     "--param-master_perf", "1e-320", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         for seed in ("5:1:0", "5:1:1"):
-            assert f"scenario=real nodes=2 seed={seed}: OverflowError" in err
+            assert (f"scenario=real nodes=2 seed={seed}: RuntimeError: "
+                    "model bug") in err
         ideal, real = read_csv(out / "summary.csv")
         assert (ideal.scenario, ideal.replications) == ("ideal", 2)
         assert (real.scenario, real.replications) == ("real", 0)

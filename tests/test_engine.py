@@ -37,6 +37,18 @@ def state_of(net, marking, seed=1234, now=0):
     return SimState(net, marking, RngStream(seed), now=now)
 
 
+def generated_frame(net, marking, prefix):
+    """The frame of the generated file named ``prefix...`` that a step
+    from ``marking`` raises ZeroDivisionError in, and the traceback text."""
+    try:
+        step(net, state_of(net, marking))
+    except ZeroDivisionError as error:
+        frames = traceback.extract_tb(error.__traceback__)
+        [frame] = [f for f in frames if f.filename.startswith(prefix)]
+        return frame, traceback.format_exc()
+    pytest.fail("the step did not raise")
+
+
 def assert_failed_firing_changes_nothing(net, state, error, match=None):
     """``fire`` and ``step`` both raise ``error`` and leave the state as it was.
 
@@ -364,20 +376,38 @@ class TestFire:
         b.transition("picky", [("b", Var("y"))], [],
                      guard=lambda v: 1 // 0 == v["y"])
         net = b.build()
-        for marking, filename, call in (
-                ({"a": [1]}, "<cpnsim fire boom>", "expr"),
-                ({"b": [1]}, "<cpnsim bindings picky>", "guard(")):
-            try:
-                step(net, state_of(net, marking))
-            except ZeroDivisionError as error:
-                text = traceback.format_exc()
-                frames = traceback.extract_tb(error.__traceback__)
-            else:
-                pytest.fail("the step did not raise")
-            [frame] = [f for f in frames if f.filename == filename]
+        for marking, prefix, call in (
+                ({"a": [1]}, "<cpnsim fire boom ", "expr"),
+                ({"b": [1]}, "<cpnsim bindings picky ", "guard(")):
+            frame, text = generated_frame(net, marking, prefix)
             assert call in frame.line
-            assert f'File "{filename}", line {frame.lineno}' in text
+            assert f'File "{frame.filename}", line {frame.lineno}' in text
             assert frame.line in text
+
+    def test_a_later_net_leaves_earlier_tracebacks_alone(self):
+        # Two transitions of one name but other arcs have other sources,
+        # so building the second keeps the first's lines in linecache.
+        def net_with_outputs(n):
+            b = NetBuilder()
+            b.place("a", INT_SET)
+            b.place("b", INT_SET)
+            outputs = [OutputArc("b", lambda v, s: v["x"])] * (n - 1)
+            b.transition("t", [("a", Var("x"))],
+                         outputs + [OutputArc("b", lambda v, s: 1 // 0)])
+            return b.build()
+
+        first = net_with_outputs(4)
+        net_with_outputs(1)
+        frame, text = generated_frame(first, {"a": [1]}, "<cpnsim fire t")
+        assert "expr3(assign, state)" in frame.line
+        assert frame.line in text
+
+    def test_an_equal_source_is_compiled_once(self):
+        nets = [build_guard_net() for _ in range(2)]
+        for one, other in zip(*(n.transitions for n in nets)):
+            assert one.fire is not other.fire
+            assert one.fire.__code__ is other.fire.__code__
+            assert one.bindings.__code__ is other.bindings.__code__
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +495,25 @@ class TestStepAndRun:
         event = step(guard_net, state)
         assert type(event) is DeadMarking
         assert state.now == 0
+
+    def test_a_guard_that_raises_in_an_advance_leaves_a_steppable_state(self):
+        # The advance rebuilds s's memo at time 10 before t's guard
+        # raises; the clock must be at 10 too, or the next step would
+        # fire s at time 0 with a token that is not ready.
+        def picky(v):
+            raise RuntimeError("guard bug")
+
+        b = NetBuilder()
+        b.place("a", INT_SET, timed=True)
+        b.place("b", INT_SET, timed=True)
+        b.transition("s", [("a", Var("x"))], [])
+        b.transition("t", [("b", Var("y"))], [], guard=picky)
+        net = b.build()
+        state = state_of(net, {"a": [(1, 10)], "b": [(1, 10)]})
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="guard bug"):
+                step(net, state)
+            assert state.now == 10
 
     def test_choice_reproducible_for_fixed_seed(self, guard_net):
         marking = {"p1": [2, 3], "p2": [1] * 4}
@@ -636,11 +685,15 @@ class TestNetValidation:
             b.build()
 
     def test_unknown_place_in_arc_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.transition("t", inputs=[("ghost", Var("x"))], outputs=[])
-        with pytest.raises(ModelStructureError):
-            b.build()
+        for inputs, outputs in (
+                ([("ghost", Var("x"))], []),
+                ([("a", Var("x"))], [OutputArc("ghost", lambda v, s: v["x"])])):
+            b = NetBuilder()
+            b.place("a", INT_SET)
+            b.transition("t", inputs=inputs, outputs=outputs)
+            with pytest.raises(ModelStructureError) as exc:
+                b.build()
+            assert str(exc.value) == "transition t references unknown place ghost"
 
     def test_constant_delay_to_untimed_place_rejected(self):
         # A delay function on an untimed place would never be called.

@@ -17,7 +17,7 @@ LAYERS = {
     "stochastic": set(),
     "raytrace": {"engine", "stochastic"},
     "experiment": {"engine", "raytrace", "stochastic"},
-    "cli": {"engine", "experiment", "raytrace"},
+    "cli": {"experiment", "raytrace"},
 }
 
 

@@ -30,7 +30,7 @@ def monitored_run(scene, p, seed, scenes=1, extra_hooks=()):
     hooks = list(extra_hooks)
     monitor = attach_scene_monitor(hooks)
     run(net, state,
-        stop=lambda st, ev: monitor.scenes_completed >= scenes,
+        stop=lambda st, ev: len(monitor.records) >= scenes,
         hooks=hooks)
     return state, monitor
 
