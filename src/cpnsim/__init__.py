@@ -9,9 +9,10 @@ Modules:
 - :mod:`cpnsim.raytrace`: executable model of a demand-driven parallel
   raytracing cluster built on the engine, and the scene monitor that
   records each rendered scene.
-- :mod:`cpnsim.experiment`: replicated parameter-sweep harness.
-- :mod:`cpnsim.cli`: command-line front end for the harness, and the
-  result files it writes and reads.
+- :mod:`cpnsim.experiment`: replicated parameter-sweep harness; it
+  returns what a sweep found and prints nothing.
+- :mod:`cpnsim.cli`: command-line front end for the harness; it writes
+  the result files and reports incomplete replications.
 """
 
 __version__ = "0.1.0"

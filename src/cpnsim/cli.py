@@ -3,9 +3,11 @@
 Runs the configured sweep and writes, under --out: summary.csv with one
 aggregated row per sweep point, one <scene>_<scenario>.dat plot series
 per curve, and one records_<scene>_<scenario>.tsv with the raw
-per-scene monitor records.  Aborted and failed replications are named
-on stderr; the exit status is 1 if any replication failed.  The sweep
-options' defaults are :class:`ExperimentPlan`'s.
+per-scene monitor records.  It writes these files and reads none.
+Each aborted or failed replication of the sweep is named once on
+stderr, a failed one below its traceback; the exit status is 1 if any
+replication failed.  The sweep options' defaults are
+:class:`ExperimentPlan`'s.
 """
 
 from __future__ import annotations
@@ -75,46 +77,15 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_rows(path, cls, sep: str, what: str) -> list:
-    """Rows of a ``what`` file written from the dataclass ``cls``.
-
-    The header is the field names joined by ``sep``; each later line is
-    one instance, each field parsed by its annotated type.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    names = [f.name for f in dataclasses.fields(cls)]
-    if not lines or lines[0] != sep.join(names):
-        raise ValueError(f"{path}: not a {what} file")
-    kinds = typing.get_type_hints(cls)
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(sep)
-        if len(parts) != len(names):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(cls(*(kinds[n](part) for n, part in zip(names, parts))))
-    return rows
-
-
 def emit_csv(points, path) -> None:
     """Write sweep points as CSV, sorted by (scene, scenario, nodes).
 
     A point without completed replications has ``nan`` aggregates.
     """
     rows = sorted(points, key=lambda p: (p.scene, p.scenario, p.nodes))
-    lines = [CSV_HEADER]
-    for p in rows:
-        if p.replications:
-            aggregates = f"{p.mean_ms},{p.std_ms},{p.replications},{p.mean_failures}"
-        else:
-            aggregates = "nan,nan,0,nan"
-        lines.append(f"{p.scene},{p.scenario},{p.nodes},{aggregates}")
-    _write_lines(path, lines)
-
-
-def read_csv(path) -> list[SweepPoint]:
-    """Parse a file written by :func:`emit_csv`."""
-    return _read_rows(path, SweepPoint, ",", "sweep summary")
+    _write_lines(path, [CSV_HEADER] + [
+        f"{p.scene},{p.scenario},{p.nodes},{p.mean_ms},{p.std_ms},"
+        f"{p.replications},{p.mean_failures}" for p in rows])
 
 
 def plotdata_path(out_dir, scene, scenario) -> Path:
@@ -156,11 +127,6 @@ def write_records(records, path) -> None:
     for r in records:
         lines.append("\t".join(str(getattr(r, name)) for name in _RECORD_FIELDS))
     _write_lines(path, lines)
-
-
-def read_records(path) -> list[SceneRecord]:
-    """Parse a file written by :func:`write_records`."""
-    return _read_rows(path, SceneRecord, "\t", "scene-record")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,6 +263,7 @@ def main(argv=None) -> int:
         print(f"  aborted: scene={a.scene} scenario={a.scenario} nodes={a.nodes} "
               f"seed={a.seed}", file=sys.stderr)
     for f in result.failed:
+        print(f.traceback, end="", file=sys.stderr)
         print(f"  failed: scene={f.scene} scenario={f.scenario} nodes={f.nodes} "
               f"seed={f.seed}: {f.error}", file=sys.stderr)
     return 1 if result.failed else 0

@@ -9,14 +9,16 @@ even when replications run in parallel worker processes.  With
 process-pool modules are imported only by a sweep with ``jobs > 1``.
 
 A replication that hits the step limit is *aborted*; one that raises
-is *failed*.  The process that ran it names either by its seed path;
-neither stops the sweep or counts towards its point's aggregates.
+is *failed*, and keeps its traceback.  Neither stops the sweep or counts
+towards its point's aggregates, which are exact and rounded once, so
+equal records give equal floats on every interpreter.  The sweep
+returns all it found, each incomplete replication named by its seed
+path, and prints nothing.
 """
 
 from __future__ import annotations
 
-import logging
-import statistics
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -31,8 +33,6 @@ from cpnsim.raytrace import (
     check_durations,
 )
 from cpnsim.stochastic import RngStream, seed_label
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NODE_COUNTS = tuple(range(1, 26))
 
@@ -125,8 +125,8 @@ class ExperimentPlan:
 class SweepPoint:
     """Aggregated durations of one (scene, scenario, node count) point.
 
-    A point without completed replications holds zeros; the output
-    files write its aggregates as ``nan`` or leave it out.
+    A point without completed replications holds ``nan`` for
+    ``mean_ms``, ``std_ms`` and ``mean_failures``.
     """
 
     scene: str
@@ -154,7 +154,8 @@ class FailedReplication(NamedTuple):
     scenario: str
     nodes: int
     seed: str  # "base_seed:point_index:replication", as in the records
-    error: str
+    error: str  # "ExceptionType: message"
+    traceback: str  # as traceback.format_exc() wrote it
 
 
 @dataclass
@@ -190,7 +191,7 @@ def _run_replication(scene: SceneConfig, params: ScenarioParams,
 def _replication_task(args):
     """Records of one replication, or its abort or failure report.
 
-    Catches every error, logging its traceback, so that one failing
+    Catches every error, keeping its traceback, so that one failing
     replication ends neither the sweep nor, with ``--jobs``, the pool.
     """
     scene, params, seed_path, step_limit, scenes_per_run = args
@@ -199,13 +200,10 @@ def _replication_task(args):
         records = _run_replication(scene, params, seed_path, step_limit,
                                    scenes_per_run)
     except Exception as exc:
-        logger.exception("replication failed: seed=%s", where[-1])
-        return FailedReplication(*where, f"{type(exc).__name__}: {exc}")
-    if records is None:
-        logger.warning("replication aborted at step limit: scene=%s "
-                       "scenario=%s nodes=%d seed=%s", *where)
-        return AbortedReplication(*where)
-    return records
+        import traceback  # here: only a failing replication needs it
+        return FailedReplication(*where, f"{type(exc).__name__}: {exc}",
+                                 traceback.format_exc())
+    return AbortedReplication(*where) if records is None else records
 
 
 def _replication_args(plan: ExperimentPlan):
@@ -216,8 +214,34 @@ def _replication_args(plan: ExperimentPlan):
                    plan.step_limit, plan.scenes_per_run)
 
 
+def _mean(xs: list[int]) -> float:
+    """Mean of one or more ints, correctly rounded (inf past the largest float)."""
+    try:
+        return sum(xs) / len(xs)
+    except OverflowError:
+        return math.inf
+
+
+def _stdev(xs: list[int]) -> float:
+    """Sample standard deviation of two or more ints, rounded as :func:`_mean`.
+
+    As Python 3.11's ``statistics.stdev``: ``(n*sum(x*x) - sum(x)**2) /
+    (n*(n-1))`` is scaled by ``4**-q`` so that its integer square root has
+    55 bits or more, rounded to odd, which round once more to a float.
+    """
+    n, s = len(xs), sum(xs)
+    num, den = n * sum(x * x for x in xs) - s * s, n * (n - 1)
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    try:
+        return math.ldexp(root | (root * root * den != num), q)
+    except OverflowError:
+        return math.inf
+
+
 def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
-    """Run the full plan and keep raw records and abort reports."""
+    """Run the full plan; return its points, records and incomplete replications."""
     args = list(_replication_args(plan))
     if plan.jobs > 1:
         # Imported here, so that an in-process sweep never loads the pool stack.
@@ -244,11 +268,11 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
                 point_records.extend(outcome)
         durations = [r.duration_ms for r in point_records]
         if durations:
-            mean_ms = statistics.fmean(durations)
-            std_ms = statistics.stdev(durations) if len(durations) > 1 else 0.0
-            mean_failures = statistics.fmean(r.failures for r in point_records)
+            mean_ms = _mean(durations)
+            std_ms = _stdev(durations) if len(durations) > 1 else 0.0
+            mean_failures = _mean([r.failures for r in point_records])
         else:
-            mean_ms = std_ms = mean_failures = 0.0
+            mean_ms = std_ms = mean_failures = math.nan
         result.points.append(SweepPoint(scene.label, scenario, node_count,
                                         mean_ms, std_ms, completed, mean_failures))
         result.records.setdefault((scene.label, scenario), []).extend(point_records)

@@ -147,6 +147,8 @@ class SceneConfig:
         if isinstance(c, tuple):
             if len(c) != 2 or not 0 <= c[0] <= c[1]:
                 raise ValueError(f"bad complexity range {c!r}")
+            if c[1] > UNIFORM_INT_MAX:  # a range is drawn by uniform_int
+                raise ValueError(f"complexity must be <= {UNIFORM_INT_MAX}")
         elif c < 0:
             raise ValueError("complexity must be >= 0")
 
@@ -206,8 +208,10 @@ class ScenarioParams:
             raise ValueError("client_success_p must be a probability")
         for field in ("send_mean_ms", "send_var", "comm_mean_ms",
                       "work_ms_per_complexity", "work_ms_per_kilopixel"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
+            # -0.0 too: a numpy normal draw of scale sqrt(-0.0) raises.
+            value = getattr(self, field)
+            if math.copysign(1, value) < 0:
+                raise ValueError(f"{field} must be >= 0, got {value}")
         for field in ("chck_per_ms", "chck_max_mult", "recovery_max_ms"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")

@@ -5,13 +5,10 @@ digests are the ones in ``perfbench/expected.json``, which this test
 only reads.  After a deliberate change of output bytes, re-record them
 with ``python3 perfbench/run.py --record`` and say why in CHANGES.md.
 
-The digests were recorded on Python 3.11.  The ``records_*.tsv`` files
-hold only integers and strings, so they are compared on every
-interpreter.  ``summary.csv`` and the ``.dat`` files pass through
-``statistics`` and float ``repr``; they are compared only on 3.11,
-because their bytes on 3.10 have not been checked against a 3.10 run.
-numpy does not promise the same ``Generator`` streams across releases,
-so a mismatch names the numpy version too.
+Every file is compared on every interpreter: the aggregates are
+correctly rounded from exact integer sums, so the bytes depend only on
+the inputs and on numpy.  numpy does not promise the same ``Generator``
+streams across releases, so a mismatch names the numpy version too.
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ def test_sweep_writes_the_recorded_bytes(tmp_path):
     assert main([*ARGV, "--out", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(files)
-    all_files = sys.version_info[:2] == (3, 11)
     where = (f"Python {sys.version.split()[0]}, "
              f"numpy {numpy.__version__}")
     for name, digest in sorted(files.items()):
-        if not (all_files or name.startswith("records_")):
-            continue
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, f"{name} differs from the golden bytes ({where})"

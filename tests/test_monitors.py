@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from cpnsim.engine import Fired, SimState, run
-from cpnsim.cli import read_records, write_records
+from cpnsim.cli import write_records
 from cpnsim.raytrace import (
     IDEAL,
     REAL,
@@ -110,9 +108,15 @@ class TestPersistence:
     ]
 
     def test_round_trip_preserves_records(self, tmp_path):
+        # Every field is an int or a str, written as its str.
         path = tmp_path / "records.tsv"
         write_records(self.RECORDS, path)
-        assert read_records(path) == self.RECORDS
+        assert path.read_text(encoding="utf-8") == (
+            "scene_index\tduration_ms\tnode_count\tnodes_used\t"
+            "failures\tcomplexity\tseed\n"
+            "0\t1234\t8\t5\t2\t36500\t1:0:0\n"
+            "1\t987654\t8\t8\t0\t36500\t1:0:1\n"
+            "2\t55\t1\t1\t13\t10\t7:3:2\n")
 
     def test_file_layout_is_tab_separated_with_header(self, tmp_path):
         path = tmp_path / "records.tsv"
@@ -131,21 +135,6 @@ class TestPersistence:
         assert path.read_text(encoding="utf-8") == (
             "scene_index\tduration_ms\tnode_count\tnodes_used\t"
             "failures\tcomplexity\tseed\n")
-        assert read_records(path) == []
-
-    def test_reader_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.tsv"
-        path.write_text("a\tb\n1\t2\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            read_records(path)
-
-    def test_reader_rejects_truncated_rows(self, tmp_path):
-        path = tmp_path / "records.tsv"
-        write_records(self.RECORDS, path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.rsplit("\t", 1)[0] + "\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            read_records(path)
 
 
 class TestNonInterference:

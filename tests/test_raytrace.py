@@ -270,6 +270,13 @@ class TestConfigs:
             SceneConfig(1_000, 750, 1_000, 750, (10, 5))
         with pytest.raises(ValueError):
             SceneConfig(1_000, 750, 1_000, 750, -1)
+        # uniform_int draws a range as a numpy int64; a fixed
+        # complexity is never drawn and has no bound.
+        with pytest.raises(ValueError, match=f"^complexity must be <= {2**63 - 1}$"):
+            SceneConfig(1_000, 750, 1_000, 750, (0, 2**63))
+        top = SceneConfig(1_000, 750, 1_000, 750, (2**63 - 1, 2**63 - 1))
+        assert top.draw_complexity(RngStream(1)) == 2**63 - 1
+        assert SceneConfig(1_000, 750, 1_000, 750, 10**20).complexity == 10**20
 
     def test_complexity_range_draw_stays_inside(self):
         scene = SceneConfig(1_000, 750, 1_000, 750, (10_000, 70_000))
@@ -298,8 +305,10 @@ class TestConfigs:
             params(chck_per_ms=0)
         for field in ("send_mean_ms", "send_var", "comm_mean_ms",
                       "work_ms_per_complexity", "work_ms_per_kilopixel"):
-            with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
-                params(**{field: -0.5})
+            for value in (-0.5, -0.0):
+                with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+                    params(**{field: value})
+            assert getattr(params(**{field: 0.0}), field) == 0.0
         # uniform_int passes these upper bounds to numpy's int64 draws.
         for field in ("recovery_max_ms", "chck_max_mult"):
             with pytest.raises(ValueError, match=field):
