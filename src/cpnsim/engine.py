@@ -31,9 +31,9 @@ equal tokens into ``(value, timestamp, count)`` triples and report
 When a ``Net`` is built, each transition's two plain functions are
 generated as source and compiled (:func:`compile_transition`): place
 and memo indices, variable names, arc order and delay forms are written
-in, not looked up on each step.  ``step``, ``enumerate_bindings``,
-``enabled_bindings``, ``fire`` and ``advance_time`` all call them, so
-there is one firing rule; a traceback shows the generated line.
+in, not looked up on each step.  ``step``, ``enabled_bindings``,
+``fire`` and ``advance_time`` all call them, so there is one firing
+rule; a traceback shows the generated line.
 
 * ``bindings(store, now)`` lists the enabled assignments.  Every input
   arc has its own place and its own variable (``Net`` rejects anything
@@ -103,7 +103,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "All",
@@ -116,12 +116,13 @@ __all__ = [
     "INT_SET",
     "ModelStructureError",
     "Net",
-    "NetBuilder",
     "OutputArc",
+    "Place",
     "SimState",
     "StepEvent",
     "StepLimitExceeded",
     "TimeAdvanced",
+    "TransitionSpec",
     "Var",
     "advance_time",
     "enabled_bindings",
@@ -186,6 +187,8 @@ def instance_set(name: str, cls: type) -> ColourSet:
 
 @dataclass(frozen=True)
 class Place:
+    """Declared place: a name, a colour set, and whether tokens are timed."""
+
     name: str
     colour: ColourSet
     timed: bool = False
@@ -247,8 +250,8 @@ class TransitionSpec:
     """Declared transition: guard plus input patterns and output arcs."""
 
     name: str
-    inputs: tuple[tuple[str, InputPattern], ...]
-    outputs: tuple[OutputArc, ...]
+    inputs: Sequence[tuple[str, InputPattern]]
+    outputs: Sequence[OutputArc]
     guard: Callable[[dict], bool] | None = None
 
 
@@ -267,30 +270,31 @@ class _CompiledTransition(NamedTuple):
 
 
 class Net:
-    """Immutable net structure; build via :class:`NetBuilder`.
+    """Immutable net of :class:`Place` and :class:`TransitionSpec` declarations.
 
-    Transitions are stored sorted by name, and binding enumeration
-    visits them in that order, so event traces are reproducible.  Each
-    is compiled once, here, by :func:`compile_transition`, and so is
+    A malformed declaration raises :class:`ModelStructureError`.  The
+    transitions are stored sorted by name, and binding enumeration visits
+    them in that order, so event traces are reproducible.  Each is
+    compiled once, here, by :func:`compile_transition`, and so is
     ``refresh(cache, store, now)``, the memo pass of :func:`step`.
     """
 
-    def __init__(self, places: list[Place], transitions: list[TransitionSpec]):
-        self.places: tuple[Place, ...] = tuple(places)
-        self.place_index: dict[str, int] = {p.name: i for i, p in enumerate(places)}
-        if len(self.place_index) != len(places):
+    def __init__(self, places: Iterable[Place], transitions: Iterable[TransitionSpec]):
+        self.places: tuple[Place, ...] = _declared(Place, places)
+        self.place_index: dict[str, int] = {p.name: i for i, p in enumerate(self.places)}
+        if len(self.place_index) != len(self.places):
             raise ModelStructureError("duplicate place names")
         self.timed_places: tuple[int, ...] = tuple(
-            i for i, p in enumerate(places) if p.timed
+            i for i, p in enumerate(self.places) if p.timed
         )
 
-        specs = sorted(transitions, key=lambda t: t.name)
+        specs = sorted(_declared(TransitionSpec, transitions), key=lambda t: t.name)
         if len({t.name for t in specs}) != len(specs):
             raise ModelStructureError("duplicate transition names")
         arcs = [self._arcs(t) for t in specs]
         # For every place, the transitions whose enabledness can change
         # when that place's ready tokens change (its input watchers).
-        watchers: list[list[int]] = [[] for _ in places]
+        watchers: list[list[int]] = [[] for _ in self.places]
         for t_idx, (in_arcs, _out_arcs) in enumerate(arcs):
             for pidx, _pattern in in_arcs:
                 watchers[pidx].append(t_idx)
@@ -311,7 +315,11 @@ class Net:
         """Checked ``(place index, pattern)`` and ``(place index, OutputArc)`` lists."""
         unknown = f"transition {spec.name} references "
         in_arcs = []
-        for place_name, pattern in spec.inputs:
+        for arc in spec.inputs:
+            if not (isinstance(arc, tuple) and len(arc) == 2):
+                raise ModelStructureError(f"transition {spec.name}: input "
+                                          f"{arc!r} is not a (place, pattern) pair")
+            place_name, pattern = arc
             idx = _index_of(self, place_name, unknown)
             if not isinstance(pattern, (Var, All)):
                 raise ModelStructureError(
@@ -345,6 +353,9 @@ class Net:
 
         out_arcs = []
         for arc in spec.outputs:
+            if not isinstance(arc, OutputArc):
+                raise ModelStructureError(
+                    f"transition {spec.name}: output {arc!r} is not an OutputArc")
             idx = _index_of(self, arc.place, unknown)
             constant = not callable(arc.delay)
             # A stamp is int ms, like the clock.
@@ -371,31 +382,13 @@ class Net:
         )
 
 
-class NetBuilder:
-    """Incremental net construction; ``build()`` freezes the structure."""
-
-    def __init__(self):
-        self._places: list[Place] = []
-        self._transitions: list[TransitionSpec] = []
-
-    def place(self, name: str, colour: ColourSet, timed: bool = False) -> "NetBuilder":
-        self._places.append(Place(name, colour, timed))
-        return self
-
-    def transition(
-        self,
-        name: str,
-        inputs: Iterable[tuple[str, InputPattern]],
-        outputs: Iterable[OutputArc],
-        guard: Callable[[dict], bool] | None = None,
-    ) -> "NetBuilder":
-        self._transitions.append(
-            TransitionSpec(name, tuple(inputs), tuple(outputs), guard)
-        )
-        return self
-
-    def build(self) -> Net:
-        return Net(self._places, self._transitions)
+def _declared(kind, items) -> tuple:
+    """``items`` as a tuple, each one checked to be a ``kind``."""
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, kind):
+            raise ModelStructureError(f"{item!r} is not a {kind.__name__}")
+    return items
 
 
 # The key a timed place's token list is sorted by.
@@ -722,7 +715,7 @@ def _compile_refresh(transitions):
     It returns the number ``n`` of enabled bindings and the index of
     the last transition with a non-empty memo (-1 when ``n`` is 0).
     Rebuilt in transition order, the memos list what
-    :func:`enumerate_bindings` lists.
+    :func:`enabled_bindings` lists.
     """
     ns = {f"bindings{t_idx}": t.bindings for t_idx, t in enumerate(transitions)}
     src = ["def refresh(cache, store, now):",
@@ -737,15 +730,6 @@ def _compile_refresh(transitions):
                 f"        last = {t_idx}"]
     src.append("    return n, last")
     return _define("refresh", "refresh", src, ns)
-
-
-def enumerate_bindings(net, store, now):
-    """Every enabled (transition index, assignment) pair."""
-    return [
-        (t_idx, assign)
-        for t_idx, t in enumerate(net.transitions)
-        for assign in t.bindings(store, now)
-    ]
 
 
 def step(net, state):
@@ -836,10 +820,8 @@ def kernel_name():
 
 def enabled_bindings(net, state):
     """Every enabled (transition name, assignment), in enumeration order."""
-    return [
-        (net.transitions[t_idx].name, assign)
-        for t_idx, assign in enumerate_bindings(net, state.store, state.now)
-    ]
+    return [(t.name, assign) for t in net.transitions
+            for assign in t.bindings(state.store, state.now)]
 
 
 def fire(net, state, transition, assignment):
@@ -873,11 +855,11 @@ def advance_time(net, state):
     while a binding is enabled raises :class:`FiringError`.  The state's
     clock is not modified; use :func:`step` to actually advance.
     """
-    store, now = state.store, state.now
-    if enumerate_bindings(net, store, now):
+    if enabled_bindings(net, state):
         raise FiringError("advance_time called while a binding is enabled")
-    for t in sorted({ts for p in net.timed_places
-                     for _value, ts in store[p] if ts > now}):
-        if enumerate_bindings(net, store, t):
-            return t
+    store, now = state.store, state.now
+    for ts in sorted({ts for p in net.timed_places
+                      for _value, ts in store[p] if ts > now}):
+        if any(t.bindings(store, ts) for t in net.transitions):
+            return ts
     return None

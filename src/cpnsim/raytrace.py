@@ -58,10 +58,11 @@ from cpnsim.engine import (
     Fired,
     INT_SET,
     Net,
-    NetBuilder,
     OutputArc,
+    Place,
     SimState,
     StepEvent,
+    TransitionSpec,
     Var,
     instance_set,
 )
@@ -356,132 +357,131 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
     node_set = instance_set("NODE", Node)
     work_set = instance_set("TILELIST", WorkList)
 
-    b = NetBuilder()
-    b.place("newScene", INT_SET)
-    b.place("nodesNo", INT_SET)
-    b.place("freeNodes", node_set)
-    b.place("scStartTime", INT_SET)
-    b.place("preparedTiles", work_set, timed=True)
-    b.place("prepTile", tile_set)
-    b.place("raytrTiles", tile_set, timed=True)
-    b.place("unsrRaytrTiles", tile_set, timed=True)
-    b.place("computedTiles", tile_set)
-    b.place("invalidNodes", node_set, timed=True)
+    return Net([
+        Place("newScene", INT_SET),
+        Place("nodesNo", INT_SET),
+        Place("freeNodes", node_set),
+        Place("scStartTime", INT_SET),
+        Place("preparedTiles", work_set, timed=True),
+        Place("prepTile", tile_set),
+        Place("raytrTiles", tile_set, timed=True),
+        Place("unsrRaytrTiles", tile_set, timed=True),
+        Place("computedTiles", tile_set),
+        Place("invalidNodes", node_set, timed=True),
+    ], [
+        # Distribution of the scene is sequential over the client nodes, so
+        # the work list only becomes available after (n - 1) transfers.
+        TransitionSpec(
+            "sendScene",
+            inputs=[("newScene", Var("cmpl")),
+                    ("nodesNo", Var("n_nodes")),
+                    ("preparedTiles", Var("prev"))],
+            outputs=[
+                OutputArc("nodesNo", lambda v, s: v["n_nodes"]),
+                OutputArc("scStartTime", lambda v, s: s.now),
+                OutputArc(
+                    "preparedTiles",
+                    lambda v, s: WorkList(make_tile_list(scene, v["cmpl"], s.rng)),
+                    delay=lambda v, s: (v["n_nodes"] - 1)
+                    * normal_int(s.rng, params.send_mean_ms, params.send_var),
+                ),
+            ],
+        ),
 
-    # Distribution of the scene is sequential over the client nodes, so
-    # the work list only becomes available after (n - 1) transfers.
-    b.transition(
-        "sendScene",
-        inputs=[("newScene", Var("cmpl")),
-                ("nodesNo", Var("n_nodes")),
-                ("preparedTiles", Var("prev"))],
-        outputs=[
-            OutputArc("nodesNo", lambda v, s: v["n_nodes"]),
-            OutputArc("scStartTime", lambda v, s: s.now),
-            OutputArc(
-                "preparedTiles",
-                lambda v, s: WorkList(make_tile_list(scene, v["cmpl"], s.rng)),
-                delay=lambda v, s: (v["n_nodes"] - 1)
-                * normal_int(s.rng, params.send_mean_ms, params.send_var),
-            ),
-        ],
-    )
+        TransitionSpec(
+            "selectTile",
+            inputs=[("freeNodes", Var("node")),
+                    ("preparedTiles", Var("work"))],
+            guard=lambda v: v["work"].start < len(v["work"].tiles),
+            outputs=[
+                OutputArc(
+                    "prepTile",
+                    lambda v, s: assign_tile(v["work"].tiles[v["work"].start],
+                                             v["node"], params, s.rng),
+                ),
+                OutputArc(
+                    "preparedTiles",
+                    lambda v, s: WorkList(v["work"].tiles, v["work"].start + 1),
+                ),
+            ],
+        ),
 
-    b.transition(
-        "selectTile",
-        inputs=[("freeNodes", Var("node")),
-                ("preparedTiles", Var("work"))],
-        guard=lambda v: v["work"].start < len(v["work"].tiles),
-        outputs=[
-            OutputArc(
-                "prepTile",
-                lambda v, s: assign_tile(v["work"].tiles[v["work"].start],
-                                         v["node"], params, s.rng),
-            ),
-            OutputArc(
-                "preparedTiles",
-                lambda v, s: WorkList(v["work"].tiles, v["work"].start + 1),
-            ),
-        ],
-    )
+        TransitionSpec(
+            "sucRtrStart",
+            inputs=[("prepTile", Var("tile"))],
+            guard=lambda v: v["tile"].will_succeed,
+            outputs=[
+                OutputArc(
+                    "raytrTiles",
+                    lambda v, s: v["tile"],
+                    delay=lambda v, s: raytrace_ms(v["tile"], params)
+                    + comm_delay_ms(params, s.rng),
+                ),
+            ],
+        ),
 
-    b.transition(
-        "sucRtrStart",
-        inputs=[("prepTile", Var("tile"))],
-        guard=lambda v: v["tile"].will_succeed,
-        outputs=[
-            OutputArc(
-                "raytrTiles",
-                lambda v, s: v["tile"],
-                delay=lambda v, s: raytrace_ms(v["tile"], params)
-                + comm_delay_ms(params, s.rng),
-            ),
-        ],
-    )
+        TransitionSpec(
+            "unsucRtrStart",
+            inputs=[("prepTile", Var("tile"))],
+            guard=lambda v: not v["tile"].will_succeed,
+            outputs=[
+                OutputArc(
+                    "unsrRaytrTiles",
+                    lambda v, s: v["tile"],
+                    delay=lambda v, s: failure_detect_ms(params, s.rng),
+                ),
+            ],
+        ),
 
-    b.transition(
-        "unsucRtrStart",
-        inputs=[("prepTile", Var("tile"))],
-        guard=lambda v: not v["tile"].will_succeed,
-        outputs=[
-            OutputArc(
-                "unsrRaytrTiles",
-                lambda v, s: v["tile"],
-                delay=lambda v, s: failure_detect_ms(params, s.rng),
-            ),
-        ],
-    )
+        TransitionSpec(
+            "sendRtrTile",
+            inputs=[("raytrTiles", Var("tile"))],
+            outputs=[
+                OutputArc("computedTiles", lambda v, s: v["tile"]),
+                OutputArc("freeNodes", lambda v, s: Node(v["tile"].node_type)),
+            ],
+        ),
 
-    b.transition(
-        "sendRtrTile",
-        inputs=[("raytrTiles", Var("tile"))],
-        outputs=[
-            OutputArc("computedTiles", lambda v, s: v["tile"]),
-            OutputArc("freeNodes", lambda v, s: Node(v["tile"].node_type)),
-        ],
-    )
+        TransitionSpec(
+            "returnTile",
+            inputs=[("unsrRaytrTiles", Var("tile")),
+                    ("preparedTiles", Var("work"))],
+            outputs=[
+                OutputArc(
+                    "preparedTiles",
+                    lambda v, s: WorkList(v["work"].tiles[v["work"].start:]
+                                          + (_reset(v["tile"]),)),
+                ),
+                OutputArc(
+                    "invalidNodes",
+                    lambda v, s: Node(v["tile"].node_type),
+                    delay=lambda v, s: recovery_ms(params, s.rng),
+                ),
+            ],
+        ),
 
-    b.transition(
-        "returnTile",
-        inputs=[("unsrRaytrTiles", Var("tile")),
-                ("preparedTiles", Var("work"))],
-        outputs=[
-            OutputArc(
-                "preparedTiles",
-                lambda v, s: WorkList(v["work"].tiles[v["work"].start:]
-                                      + (_reset(v["tile"]),)),
-            ),
-            OutputArc(
-                "invalidNodes",
-                lambda v, s: Node(v["tile"].node_type),
-                delay=lambda v, s: recovery_ms(params, s.rng),
-            ),
-        ],
-    )
+        TransitionSpec(
+            "recoverNode",
+            inputs=[("invalidNodes", Var("node"))],
+            outputs=[OutputArc("freeNodes", lambda v, s: v["node"])],
+        ),
 
-    b.transition(
-        "recoverNode",
-        inputs=[("invalidNodes", Var("node"))],
-        outputs=[OutputArc("freeNodes", lambda v, s: v["node"])],
-    )
-
-    # The whole tile population must sit in computedTiles and the work
-    # list must be empty; tile conservation then guarantees nothing is
-    # still assigned, raytracing, or awaiting failure detection.  The
-    # next scene's work list is the empty one, not the drained tuple.
-    b.transition(
-        "completeScene",
-        inputs=[("computedTiles", All("done", require=scene.tile_count)),
-                ("preparedTiles", Var("work")),
-                ("scStartTime", Var("started"))],
-        guard=lambda v: v["work"].start == len(v["work"].tiles),
-        outputs=[
-            OutputArc("newScene", lambda v, s: scene.draw_complexity(s.rng)),
-            OutputArc("preparedTiles", lambda v, s: WorkList()),
-        ],
-    )
-
-    return b.build()
+        # The whole tile population must sit in computedTiles and the work
+        # list must be empty; tile conservation then guarantees nothing is
+        # still assigned, raytracing, or awaiting failure detection.  The
+        # next scene's work list is the empty one, not the drained tuple.
+        TransitionSpec(
+            "completeScene",
+            inputs=[("computedTiles", All("done", require=scene.tile_count)),
+                    ("preparedTiles", Var("work")),
+                    ("scStartTime", Var("started"))],
+            guard=lambda v: v["work"].start == len(v["work"].tiles),
+            outputs=[
+                OutputArc("newScene", lambda v, s: scene.draw_complexity(s.rng)),
+                OutputArc("preparedTiles", lambda v, s: WorkList()),
+            ],
+        ),
+    ])
 
 
 def build_net(scene: SceneConfig, params: ScenarioParams,

@@ -5,8 +5,10 @@ from __future__ import annotations
 from cpnsim.engine import (
     INT_SET,
     Fired,
-    NetBuilder,
+    Net,
     OutputArc,
+    Place,
+    TransitionSpec,
     Var,
 )
 
@@ -17,17 +19,15 @@ def build_guard_net():
     p1 and p2 hold integers; tt binds x from p1 and y from p2 and fires
     only when x > y, emitting x + y into p3.
     """
-    b = NetBuilder()
-    b.place("p1", INT_SET)
-    b.place("p2", INT_SET)
-    b.place("p3", INT_SET)
-    b.transition(
-        "tt",
-        inputs=[("p1", Var("x")), ("p2", Var("y"))],
-        guard=lambda v: v["x"] > v["y"],
-        outputs=[OutputArc("p3", lambda v, s: v["x"] + v["y"])],
+    return Net(
+        [Place("p1", INT_SET), Place("p2", INT_SET), Place("p3", INT_SET)],
+        [TransitionSpec(
+            "tt",
+            inputs=[("p1", Var("x")), ("p2", Var("y"))],
+            guard=lambda v: v["x"] > v["y"],
+            outputs=[OutputArc("p3", lambda v, s: v["x"] + v["y"])],
+        )],
     )
-    return b.build()
 
 
 def build_delay_net(with_consumer: bool, delay: int = 10):
@@ -36,23 +36,20 @@ def build_delay_net(with_consumer: bool, delay: int = 10):
     Without the consumer the token parked in tp2 never enables anything
     and the net dies right after the single tt1 firing.
     """
-    b = NetBuilder()
-    b.place("tp1", INT_SET, timed=True)
-    b.place("tp2", INT_SET, timed=True)
-    b.transition(
+    places = [Place("tp1", INT_SET, timed=True), Place("tp2", INT_SET, timed=True)]
+    transitions = [TransitionSpec(
         "tt1",
         inputs=[("tp1", Var("x"))],
         outputs=[OutputArc("tp2", lambda v, s: v["x"], delay=delay)],
-    )
+    )]
     if with_consumer:
-        b.place("tp3", INT_SET, timed=True)
-        b.transition(
+        places.append(Place("tp3", INT_SET, timed=True))
+        transitions.append(TransitionSpec(
             "tt2",
             inputs=[("tp2", Var("x"))],
             outputs=[OutputArc("tp3", lambda v, s: v["x"])],
-        )
-    net = b.build()
-    return net, {"tp1": [(1, 0)]}
+        ))
+    return Net(places, transitions), {"tp1": [(1, 0)]}
 
 
 class TraceHook:

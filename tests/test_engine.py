@@ -14,11 +14,13 @@ from cpnsim.engine import (
     FiringError,
     INT_SET,
     ModelStructureError,
-    NetBuilder,
+    Net,
     OutputArc,
+    Place,
     SimState,
     StepLimitExceeded,
     TimeAdvanced,
+    TransitionSpec,
     Var,
     _remove_value,
     advance_time,
@@ -189,12 +191,9 @@ class TestEnabledBindings:
         assert len(enabled_bindings(guard_net, state)) == 1
 
     def test_enumeration_order_is_sorted_by_value(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("out", lambda v, s: v["x"])])
-        net = b.build()
+        net = Net([Place("a", INT_SET), Place("out", INT_SET)],
+                  [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                  outputs=[OutputArc("out", lambda v, s: v["x"])])])
         state = state_of(net, {"a": [3, 1, 2]})
         values = [a["x"] for _, a in enabled_bindings(net, state)]
         assert values == [1, 2, 3]
@@ -292,12 +291,9 @@ class TestFire:
         ([(3,), (1, 2), (1, 2)], [((1, 2), None, 1), ((3,), None, 1)]),
     ], ids=["one-token", "several-tokens"])
     def test_consumption_matches_values_by_equality(self, tokens, left):
-        b = NetBuilder()
-        b.place("a", instance_set("L", tuple))
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("xs"))],
-                     outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])
-        net = b.build()
+        net = Net([Place("a", instance_set("L", tuple)), Place("out", INT_SET)],
+                  [TransitionSpec("t", inputs=[("a", Var("xs"))],
+                                  outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])])
         state = state_of(net, {"a": tokens})
         equal = tuple([1, 2])
         assert all(value is not equal for value, _ts in state.store[0])
@@ -312,12 +308,9 @@ class TestFire:
         assert place == [(value, 0) for value in expected]
 
     def test_oldest_ready_token_consumed_first(self):
-        b = NetBuilder()
-        b.place("src", INT_SET, timed=True)
-        b.place("dst", INT_SET)
-        b.transition("t", inputs=[("src", Var("x"))],
-                     outputs=[OutputArc("dst", lambda v, s: v["x"])])
-        net = b.build()
+        net = Net([Place("src", INT_SET, timed=True), Place("dst", INT_SET)],
+                  [TransitionSpec("t", inputs=[("src", Var("x"))],
+                                  outputs=[OutputArc("dst", lambda v, s: v["x"])])])
         marking = {"src": [(5, 3), (5, 7)]}
         state = state_of(net, marking, now=10)
         [(name, binding)] = enabled_bindings(net, state)
@@ -329,26 +322,22 @@ class TestFire:
         for delay, message in ((-1, "negative delay -1"),
                                (0.5, "non-int delay 0.5"),
                                (True, "non-int delay True")):
-            b = NetBuilder()
-            b.place("a", INT_SET, timed=True)
-            b.place("b", INT_SET, timed=True)
-            b.transition("t", inputs=[("a", Var("x"))],
-                         outputs=[OutputArc("b", lambda v, s: v["x"],
-                                            delay=lambda v, s, d=delay: d)])
-            net = b.build()
+            net = Net(
+                [Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+                [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                outputs=[OutputArc("b", lambda v, s: v["x"],
+                                                   delay=lambda v, s, d=delay: d)])])
             state = state_of(net, {"a": [(1, 0)]})
             assert_failed_firing_changes_nothing(
                 net, state, ModelStructureError, match=message)
 
     def test_raising_arc_expression_changes_nothing(self):
         # The first output is fine; the second raises.
-        b = NetBuilder()
-        b.place("a", INT_SET, timed=True)
-        b.place("b", INT_SET, timed=True)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("b", lambda v, s: v["x"], delay=5),
-                              OutputArc("b", lambda v, s: 1 // 0)])
-        net = b.build()
+        net = Net(
+            [Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+            [TransitionSpec("t", inputs=[("a", Var("x"))],
+                            outputs=[OutputArc("b", lambda v, s: v["x"], delay=5),
+                                     OutputArc("b", lambda v, s: 1 // 0)])])
         state = state_of(net, {"a": [(1, 0)]})
         assert_failed_firing_changes_nothing(net, state, ZeroDivisionError)
 
@@ -358,24 +347,21 @@ class TestFire:
         for delay, message in ((-1, "negative delay"),
                                (2.5, "delay 2.5 .* neither an int"),
                                (True, "delay True .* neither an int")):
-            b = NetBuilder()
-            b.place("a", INT_SET, timed=True)
-            b.transition("t", inputs=[("a", Var("x"))],
-                         outputs=[OutputArc("a", lambda v, s: v["x"], delay)])
             with pytest.raises(ModelStructureError, match=message):
-                b.build()
+                Net([Place("a", INT_SET, timed=True)],
+                    [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                    outputs=[OutputArc("a", lambda v, s: v["x"],
+                                                       delay)])])
 
     def test_tracebacks_show_the_generated_lines(self):
         # A failed replication is logged with this traceback text: it
         # names the generated file and shows the line that raised.
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("b", INT_SET)
-        b.transition("boom", [("a", Var("x"))],
-                     [OutputArc("b", lambda v, s: 1 // 0)])
-        b.transition("picky", [("b", Var("y"))], [],
-                     guard=lambda v: 1 // 0 == v["y"])
-        net = b.build()
+        net = Net([Place("a", INT_SET), Place("b", INT_SET)], [
+            TransitionSpec("boom", [("a", Var("x"))],
+                           [OutputArc("b", lambda v, s: 1 // 0)]),
+            TransitionSpec("picky", [("b", Var("y"))], [],
+                           guard=lambda v: 1 // 0 == v["y"]),
+        ])
         for marking, prefix, call in (
                 ({"a": [1]}, "<cpnsim fire boom ", "expr"),
                 ({"b": [1]}, "<cpnsim bindings picky ", "guard(")):
@@ -388,13 +374,10 @@ class TestFire:
         # Two transitions of one name but other arcs have other sources,
         # so building the second keeps the first's lines in linecache.
         def net_with_outputs(n):
-            b = NetBuilder()
-            b.place("a", INT_SET)
-            b.place("b", INT_SET)
             outputs = [OutputArc("b", lambda v, s: v["x"])] * (n - 1)
-            b.transition("t", [("a", Var("x"))],
-                         outputs + [OutputArc("b", lambda v, s: 1 // 0)])
-            return b.build()
+            return Net([Place("a", INT_SET), Place("b", INT_SET)],
+                       [TransitionSpec("t", [("a", Var("x"))],
+                                       outputs + [OutputArc("b", lambda v, s: 1 // 0)])])
 
         first = net_with_outputs(4)
         net_with_outputs(1)
@@ -431,13 +414,10 @@ class TestAdvanceTime:
     def test_skips_times_that_enable_nothing(self):
         # Tokens mature at 12 and 15-but only the @15 one passes the
         # guard, so the clock must jump straight to 15.
-        b = NetBuilder()
-        b.place("a", INT_SET, timed=True)
-        b.place("out", INT_SET)
-        b.transition("t", inputs=[("a", Var("x"))],
-                     guard=lambda v: v["x"] == 1,
-                     outputs=[OutputArc("out", lambda v, s: v["x"])])
-        net = b.build()
+        net = Net([Place("a", INT_SET, timed=True), Place("out", INT_SET)],
+                  [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                  guard=lambda v: v["x"] == 1,
+                                  outputs=[OutputArc("out", lambda v, s: v["x"])])])
         marking = {"a": [(2, 12), (1, 15)]}
         state = state_of(net, marking)
         assert advance_time(net, state) == 15
@@ -453,11 +433,9 @@ class TestAdvanceTime:
     def test_a_tie_across_places_wakes_both(self):
         # Two timed places whose first pending tokens share a stamp: the
         # advance must clear the memos of both places' watchers.
-        b = NetBuilder()
-        for name in ("a", "b"):
-            b.place(name, INT_SET, timed=True)
-            b.transition(f"take_{name}", [(name, Var("x"))], [])
-        net = b.build()
+        net = Net([Place(name, INT_SET, timed=True) for name in ("a", "b")],
+                  [TransitionSpec(f"take_{name}", [(name, Var("x"))], [])
+                   for name in ("a", "b")])
         marking = {"a": [(1, 5)], "b": [(2, 5)]}
         state = state_of(net, marking)
         assert advance_time(net, state) == 5
@@ -503,12 +481,9 @@ class TestStepAndRun:
         def picky(v):
             raise RuntimeError("guard bug")
 
-        b = NetBuilder()
-        b.place("a", INT_SET, timed=True)
-        b.place("b", INT_SET, timed=True)
-        b.transition("s", [("a", Var("x"))], [])
-        b.transition("t", [("b", Var("y"))], [], guard=picky)
-        net = b.build()
+        net = Net([Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+                  [TransitionSpec("s", [("a", Var("x"))], []),
+                   TransitionSpec("t", [("b", Var("y"))], [], guard=picky)])
         state = state_of(net, {"a": [(1, 10)], "b": [(1, 10)]})
         for _ in range(2):
             with pytest.raises(RuntimeError, match="guard bug"):
@@ -576,11 +551,9 @@ class TestStepAndRun:
         ]
 
     def test_step_limit_raises(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.transition("loop", inputs=[("a", Var("x"))],
-                     outputs=[OutputArc("a", lambda v, s: v["x"])])
-        net = b.build()
+        net = Net([Place("a", INT_SET)],
+                  [TransitionSpec("loop", inputs=[("a", Var("x"))],
+                                  outputs=[OutputArc("a", lambda v, s: v["x"])])])
         state = state_of(net, {"a": [0]})
         with pytest.raises(StepLimitExceeded):
             run(net, state, max_steps=50)
@@ -617,15 +590,13 @@ class TestStepAndRun:
 class TestAllArc:
     @staticmethod
     def collector_net(require, timed=False):
-        b = NetBuilder()
-        b.place("pool", INT_SET, timed=timed)
-        b.place("out", INT_SET)
-        b.transition(
-            "collect",
-            inputs=[("pool", All("xs", require=require))],
-            outputs=[OutputArc("out", lambda v, s: sum(v["xs"]))],
-        )
-        return b.build()
+        return Net([Place("pool", INT_SET, timed=timed), Place("out", INT_SET)], [
+            TransitionSpec(
+                "collect",
+                inputs=[("pool", All("xs", require=require))],
+                outputs=[OutputArc("out", lambda v, s: sum(v["xs"]))],
+            ),
+        ])
 
     def test_binds_whole_population_with_multiplicity(self):
         net = self.collector_net(require=3)
@@ -670,75 +641,83 @@ class TestAllArc:
 
 class TestNetValidation:
     def test_duplicate_place_names_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("a", INT_SET)
-        with pytest.raises(ModelStructureError):
-            b.build()
+        # So is a place that is not a Place declaration.
+        for places, message in (([Place("a", INT_SET)] * 2, "duplicate place"),
+                                (["a"], "'a' is not a Place")):
+            with pytest.raises(ModelStructureError, match=message):
+                Net(places, [])
 
     def test_duplicate_transition_names_rejected(self):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.transition("t", inputs=[("a", Var("x"))], outputs=[])
-        b.transition("t", inputs=[("a", Var("x"))], outputs=[])
-        with pytest.raises(ModelStructureError):
-            b.build()
+        # So is a transition that is not a TransitionSpec declaration.
+        spec = TransitionSpec("t", inputs=[("a", Var("x"))], outputs=[])
+        for transitions, message in (([spec] * 2, "duplicate transition"),
+                                     ([("t", [], [])], "is not a TransitionSpec")):
+            with pytest.raises(ModelStructureError, match=message):
+                Net([Place("a", INT_SET)], transitions)
 
     def test_unknown_place_in_arc_rejected(self):
         for inputs, outputs in (
                 ([("ghost", Var("x"))], []),
                 ([("a", Var("x"))], [OutputArc("ghost", lambda v, s: v["x"])])):
-            b = NetBuilder()
-            b.place("a", INT_SET)
-            b.transition("t", inputs=inputs, outputs=outputs)
             with pytest.raises(ModelStructureError) as exc:
-                b.build()
+                Net([Place("a", INT_SET)],
+                    [TransitionSpec("t", inputs=inputs, outputs=outputs)])
             assert str(exc.value) == "transition t references unknown place ghost"
 
     def test_constant_delay_to_untimed_place_rejected(self):
         # A delay function on an untimed place would never be called.
         for delay in (5, lambda v, s: 5):
-            b = NetBuilder()
-            b.place("a", INT_SET)
-            b.place("b", INT_SET)
-            b.transition("t", inputs=[("a", Var("x"))],
-                         outputs=[OutputArc("b", lambda v, s: v["x"], delay)])
             with pytest.raises(ModelStructureError):
-                b.build()
+                Net([Place("a", INT_SET), Place("b", INT_SET)],
+                    [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                    outputs=[OutputArc("b", lambda v, s: v["x"],
+                                                       delay)])])
 
     def test_produced_value_outside_colour_set_rejected(self):
         # Each output form (untimed, constant delay, delay function)
         # generates its own lines, and each checks the colour.
         for timed, delay in ((False, 0), (True, 3), (True, lambda v, s: 3)):
-            b = NetBuilder()
-            b.place("a", INT_SET)
-            b.place("out", INT_SET, timed=timed)
-            b.transition("t", inputs=[("a", Var("x"))],
-                         outputs=[OutputArc("out", lambda v, s: str(v["x"]),
-                                            delay)])
-            net = b.build()
+            net = Net([Place("a", INT_SET), Place("out", INT_SET, timed=timed)],
+                      [TransitionSpec("t", inputs=[("a", Var("x"))],
+                                      outputs=[OutputArc("out",
+                                                         lambda v, s: str(v["x"]),
+                                                         delay)])])
             state = state_of(net, {"a": [1]})
             assert_failed_firing_changes_nothing(net, state,
                                                  ModelStructureError)
 
-    @pytest.mark.parametrize("inputs", [
-        [("a", Var("x")), ("a", Var("y"))],
-        [("a", Var("x")), ("b", Var("x"))],
-        [("a", All("xs", 1)), ("a", Var("y"))],
-        [("a", All("x", 1)), ("b", Var("x"))],
-        [("a", "x")],
-        [("a", Var(3))],
-        [("a", All(b"xs", 1))],
+    # So is an arc that is not a declaration: an input that is not a
+    # (place, pattern) pair, an output that is not an OutputArc.
+    @pytest.mark.parametrize("inputs, outputs", [
+        ([("a", Var("x")), ("a", Var("y"))], []),
+        ([("a", Var("x")), ("b", Var("x"))], []),
+        ([("a", All("xs", 1)), ("a", Var("y"))], []),
+        ([("a", All("x", 1)), ("b", Var("x"))], []),
+        ([("a", "x")], []),
+        ([("a", Var(3))], []),
+        ([("a", All(b"xs", 1))], []),
+        (["a"], []),
+        ([("a", Var("x"))], [("b", lambda v, s: 1)]),
     ], ids=["two-vars-one-place", "one-var-two-places",
             "all-and-var-one-place", "all-and-var-one-variable",
-            "unknown-pattern", "var-name-not-a-str", "all-name-not-a-str"])
-    def test_input_arcs_need_their_own_place_and_variable(self, inputs):
-        b = NetBuilder()
-        b.place("a", INT_SET)
-        b.place("b", INT_SET)
-        b.transition("t", inputs=inputs, outputs=[])
+            "unknown-pattern", "var-name-not-a-str", "all-name-not-a-str",
+            "input-not-a-pair", "output-not-an-OutputArc"])
+    def test_input_arcs_need_their_own_place_and_variable(self, inputs, outputs):
         with pytest.raises(ModelStructureError, match="transition t"):
-            b.build()
+            Net([Place("a", INT_SET), Place("b", INT_SET)],
+                [TransitionSpec("t", inputs=inputs, outputs=outputs)])
+
+    def test_declarations_may_come_from_any_iterable(self):
+        # Net reads each argument once, so generators build the same net.
+        listed = build_guard_net()
+        net = Net((p for p in listed.places),
+                  (t.spec for t in listed.transitions))
+        assert net.places == listed.places
+        assert [t.spec for t in net.transitions] == [
+            t.spec for t in listed.transitions]
+        state = state_of(net, {"p1": [2, 3], "p2": [1]})
+        assert enabled_bindings(net, state) == [
+            ("tt", {"x": 2, "y": 1}), ("tt", {"x": 3, "y": 1})]
 
 
 # ---------------------------------------------------------------------------

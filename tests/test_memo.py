@@ -24,14 +24,15 @@ from cpnsim.engine import (
     All,
     DeadMarking,
     Fired,
-    NetBuilder,
+    Net,
     OutputArc,
+    Place,
     SimState,
     TimeAdvanced,
+    TransitionSpec,
     Var,
     advance_time,
     enabled_bindings,
-    enumerate_bindings,
     run,
     step,
 )
@@ -44,7 +45,7 @@ TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
 
 def reference_bindings(net, store, now):
-    """Every enabled (transition index, assignment), from the declarations.
+    """Every enabled (transition name, assignment), from the declarations.
 
     Uses nothing of the kernel: transitions in name order; a Var arc's
     candidates are its place's sorted distinct ready values, an All
@@ -53,11 +54,11 @@ def reference_bindings(net, store, now):
     product, All variables first, then the guard.
     """
     found = []
-    for t_idx, t in sorted(enumerate(net.transitions),
-                           key=lambda entry: entry[1].spec.name):
+    for spec in sorted((t.spec for t in net.transitions),
+                       key=lambda spec: spec.name):
         fixed, var_names, candidates = {}, [], []
         whole = True
-        for place, pattern in t.spec.inputs:
+        for place, pattern in spec.inputs:
             tokens = store[net.place_index[place]]
             ready = sorted(value for value, ts in tokens if ts <= now)
             if type(pattern) is All:
@@ -73,8 +74,8 @@ def reference_bindings(net, store, now):
         for values in itertools.product(*candidates):
             assign = dict(fixed)
             assign.update(zip(var_names, values))
-            if t.spec.guard is None or t.spec.guard(assign):
-                found.append((t_idx, assign))
+            if spec.guard is None or spec.guard(assign):
+                found.append((spec.name, assign))
     return found
 
 
@@ -85,7 +86,8 @@ def check_state(net, state):
              for assign in memo]
     assert len(memos) == n
     assert last == (memos[-1][0] if memos else -1)
-    assert memos == enumerate_bindings(net, state.store, state.now)
+    memos = [(net.transitions[t_idx].name, assign) for t_idx, assign in memos]
+    assert memos == enabled_bindings(net, state)
     reference = reference_bindings(net, state.store, state.now)
     assert memos == reference
     assert [list(a.items()) for _t, a in memos] == [
@@ -204,14 +206,12 @@ class TestStepReadsTheMemos:
         a has one Var arc, c two Var arcs on different places, so the
         memos read [2 bindings, none, 4 bindings].
         """
-        b = NetBuilder()
-        for p in ("p0", "p1", "p2"):
-            b.place(p, INT_SET)
-        b.transition("a", [("p0", Var("x"))], [])
-        b.transition("b", [("p1", Var("x"))], [], guard=lambda v: v["x"] > 5)
-        b.transition("c", [("p2", Var("x")), ("p0", Var("y"))],
-                     [OutputArc("p1", lambda v, s: v["x"] + v["y"])])
-        net = b.build()
+        net = Net([Place(p, INT_SET) for p in ("p0", "p1", "p2")], [
+            TransitionSpec("a", [("p0", Var("x"))], []),
+            TransitionSpec("b", [("p1", Var("x"))], [], guard=lambda v: v["x"] > 5),
+            TransitionSpec("c", [("p2", Var("x")), ("p0", Var("y"))],
+                           [OutputArc("p1", lambda v, s: v["x"] + v["y"])]),
+        ])
         return net, {"p0": [2, 1, 2], "p1": [3], "p2": [5, 4]}
 
     def test_the_kth_pick_fires_the_kth_binding(self):
@@ -237,24 +237,21 @@ class TestStepReadsTheMemos:
     def test_two_var_arcs_enumerate_like_the_general_product(self):
         # Several candidates per arc, repeated values, pending tokens, a
         # guard that rejects some pairs, and both arc orders.
-        b = NetBuilder()
-        b.place("p1", INT_SET)
-        b.place("p2", INT_SET, timed=True)
-        b.place("out", INT_SET)
-
         def guard(v):
             return (v["x"] + v["y"]) % 3 != 0
 
-        b.transition("xy", [("p1", Var("x")), ("p2", Var("y"))],
-                     [OutputArc("out", lambda v, s: v["x"])], guard=guard)
-        b.transition("yx", [("p2", Var("y")), ("p1", Var("x"))],
-                     [OutputArc("out", lambda v, s: v["y"])], guard=guard)
-        net = b.build()
+        net = Net(
+            [Place("p1", INT_SET), Place("p2", INT_SET, timed=True),
+             Place("out", INT_SET)],
+            [TransitionSpec("xy", [("p1", Var("x")), ("p2", Var("y"))],
+                            [OutputArc("out", lambda v, s: v["x"])], guard=guard),
+             TransitionSpec("yx", [("p2", Var("y")), ("p1", Var("x"))],
+                            [OutputArc("out", lambda v, s: v["y"])], guard=guard)])
         marking = {"p1": [3, 1, 2, 2, 1],
                    "p2": [(4, 0), (0, 0), (4, 5), (7, 9), (2, 1)]}
-        store, now = SimState(net, marking, RngStream(0)).store, 2
-        expected = reference_bindings(net, store, now)
-        got = enumerate_bindings(net, store, now)
+        state = SimState(net, marking, RngStream(0), now=2)
+        expected = reference_bindings(net, state.store, state.now)
+        got = enabled_bindings(net, state)
         assert got == expected
         assert [list(a.items()) for _t, a in got] == [
             list(a.items()) for _t, a in expected]
@@ -310,9 +307,9 @@ def small_timed_nets(draw):
     """
     n_places = draw(st.integers(1, 3))
     timed = [draw(st.booleans()) for _ in range(n_places)]
-    b = NetBuilder()
-    for p, is_timed in enumerate(timed):
-        b.place(f"p{p}", INT_SET, timed=is_timed)
+    declared = [Place(f"p{p}", INT_SET, timed=is_timed)
+                for p, is_timed in enumerate(timed)]
+    transitions = []
     for t in range(draw(st.integers(1, 3))):
         places = draw(st.lists(st.integers(0, n_places - 1), min_size=1,
                                max_size=3, unique=True))
@@ -336,8 +333,9 @@ def small_timed_nets(draw):
                 delay = draw(st.one_of(
                     st.just(0), st.integers(1, 4), st.just(_random_delay)))
             outputs.append(OutputArc(f"p{q}", expr, delay))
-        b.transition(f"t{t}", inputs, outputs, guard=draw(st.sampled_from(GUARDS)))
-    net = b.build()
+        transitions.append(TransitionSpec(f"t{t}", inputs, outputs,
+                                          guard=draw(st.sampled_from(GUARDS))))
+    net = Net(declared, transitions)
     marking = {}
     for p, is_timed in enumerate(timed):
         value = st.integers(0, 3)
@@ -353,8 +351,7 @@ def test_generated_nets_step_like_the_stateless_reference(case, seed):
     state = SimState(net, marking, RngStream(seed), now=now)
     check_state(net, state)
     for _ in range(30):
-        enabled = enumerate_bindings(
-            net, state.store, state.now)
+        enabled = enabled_bindings(net, state)
         expected = None
         if not enabled:
             expected = advance_time(net, state)
@@ -378,19 +375,20 @@ def test_names_with_quotes_backslashes_and_newlines():
     # Every name holds both quotes, a backslash and a newline; a name
     # pasted into the generated source unquoted would not compile.
     odd = "'\"\\\n"
-    b = NetBuilder()
-    b.place(f"p{odd}", INT_SET)
-    b.place(f"q{odd}", INT_SET)
-    b.place(f"r{odd}", INT_SET, timed=True)
-    b.transition(f"t{odd}", [(f"p{odd}", Var(f"x{odd}")),
-                             (f"r{odd}", Var(f"y{odd}"))],
-                 [OutputArc(f"q{odd}",
-                            lambda v, s: v[f"x{odd}"] + v[f"y{odd}"])],
-                 guard=lambda v: v[f"x{odd}"] != v[f"y{odd}"])
-    b.transition(f"u{odd}", [(f"q{odd}", All(f"all{odd}", 2))],
-                 [OutputArc(f"r{odd}", lambda v, s: sum(v[f"all{odd}"]) % 3,
-                            delay=lambda v, s: 1)])
-    net = b.build()
+    net = Net([
+        Place(f"p{odd}", INT_SET),
+        Place(f"q{odd}", INT_SET),
+        Place(f"r{odd}", INT_SET, timed=True),
+    ], [
+        TransitionSpec(f"t{odd}", [(f"p{odd}", Var(f"x{odd}")),
+                                   (f"r{odd}", Var(f"y{odd}"))],
+                       [OutputArc(f"q{odd}",
+                                  lambda v, s: v[f"x{odd}"] + v[f"y{odd}"])],
+                       guard=lambda v: v[f"x{odd}"] != v[f"y{odd}"]),
+        TransitionSpec(f"u{odd}", [(f"q{odd}", All(f"all{odd}", 2))],
+                       [OutputArc(f"r{odd}", lambda v, s: sum(v[f"all{odd}"]) % 3,
+                                  delay=lambda v, s: 1)]),
+    ])
     marking = {f"p{odd}": [1, 2, 2, 0], f"r{odd}": [(0, 0), (1, 3)]}
     for seed in range(3):
         hook = checked_run(net, marking, seed)
@@ -398,12 +396,10 @@ def test_names_with_quotes_backslashes_and_newlines():
 
 
 def test_a_transition_without_inputs_lists_one_empty_assignment():
-    b = NetBuilder()
-    b.place("p", INT_SET)
-    b.transition("source", [], [OutputArc("p", lambda v, s: 1)])
-    net = b.build()
+    net = Net([Place("p", INT_SET)],
+              [TransitionSpec("source", [], [OutputArc("p", lambda v, s: 1)])])
     state = SimState(net, {}, NoPick())
-    assert enumerate_bindings(net, state.store, 0) == [(0, {})]
-    assert reference_bindings(net, state.store, 0) == [(0, {})]
+    assert enabled_bindings(net, state) == [("source", {})]
+    assert reference_bindings(net, state.store, 0) == [("source", {})]
     assert step(net, state) == Fired("source", {}, 0)
     assert state.tokens("p") == [(1, None, 1)]
