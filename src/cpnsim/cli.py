@@ -230,7 +230,17 @@ def plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a value that starts with '-' for an option, unless
+    # it is a plain negative number, but reads ``--flag=value`` as a
+    # value.  Every option but --help starts with '--' and takes one.
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if (words and words[-1].startswith("--") and "=" not in words[-1]
+                and word.startswith("-") and not word.startswith("--")):
+            words[-1] += f"={word}"
+        else:
+            words.append(word)
+    args = parser.parse_args(words)
     try:
         plan = plan_from_args(args)
     except ValueError as exc:

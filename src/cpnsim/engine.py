@@ -1,11 +1,12 @@
 """The engine: nets, markings, binding enumeration, firing, time advance.
 
-A net is a bipartite graph of places and transitions.  Places hold
-multisets of typed tokens; timed places additionally stamp each token
-with the earliest model time (integer milliseconds) at which it may be
-consumed.  Transitions remove tokens along input arcs, subject to a
-guard over the bound variables, and produce tokens along output arcs
-whose expressions may draw from the run's random stream.
+A net is a bipartite graph of places and transitions.  A place holds a
+multiset of tokens whose type is exactly its colour, a class such as
+``int``; a timed place also stamps each token with the earliest model
+time (integer milliseconds) at which it may be consumed.  Transitions
+remove tokens along input arcs, subject to a guard over the bound
+variables, and produce tokens along output arcs whose expressions may
+draw from the run's random stream.
 
 Of the functions on a net and its state,
 ``step`` and ``run`` drive a simulation, ``enabled_bindings``, ``fire``
@@ -107,13 +108,11 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "All",
-    "ColourSet",
     "DEFAULT_STEP_LIMIT",
     "DeadMarking",
     "EngineError",
     "Fired",
     "FiringError",
-    "INT_SET",
     "ModelStructureError",
     "Net",
     "OutputArc",
@@ -127,7 +126,6 @@ __all__ = [
     "advance_time",
     "enabled_bindings",
     "fire",
-    "instance_set",
     "kernel_name",
     "run",
     "step",
@@ -154,43 +152,24 @@ class StepLimitExceeded(EngineError):
         self.steps = steps
 
 
-@dataclass(frozen=True)
-class ColourSet:
-    """A named token type: a membership predicate over values.
-
-    Token values must be mutually orderable within one place: the
-    engine sorts candidate tokens for deterministic binding enumeration
-    and groups equal ones by sorting, never by hashing.  ``contains``
-    is the one membership test: :class:`SimState` applies it to every
-    token of the initial marking, and a firing to every token it
-    produces.
-    """
-
-    name: str
-    contains: Callable[[Any], bool]
-
-    def __repr__(self):
-        return f"ColourSet({self.name})"
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-INT_SET = ColourSet("INT", _is_int)
-
-
-def instance_set(name: str, cls: type) -> ColourSet:
-    """Colour set of all instances of an orderable class."""
-    return ColourSet(name, lambda v: isinstance(v, cls))
-
-
 @dataclass(frozen=True)
 class Place:
-    """Declared place: a name, a colour set, and whether tokens are timed."""
+    """Declared place: a name, a colour, and whether tokens are timed.
+
+    The colour is a class, and a token is of it exactly when its type is
+    that class: :class:`SimState` checks every token of the initial
+    marking, and a firing every token it produces.  Token values must be
+    mutually orderable within one place: the engine sorts candidate
+    tokens for deterministic binding enumeration and groups equal ones
+    by sorting, never by hashing.
+    """
 
     name: str
-    colour: ColourSet
+    colour: type
     timed: bool = False
 
 
@@ -281,6 +260,11 @@ class Net:
 
     def __init__(self, places: Iterable[Place], transitions: Iterable[TransitionSpec]):
         self.places: tuple[Place, ...] = _declared(Place, places)
+        for p in self.places:
+            if not (isinstance(p.name, str) and isinstance(p.colour, type)
+                    and isinstance(p.timed, bool)):
+                raise ModelStructureError(f"{p!r}: a place needs a str name, "
+                                          "a class as colour and a bool as timed")
         self.place_index: dict[str, int] = {p.name: i for i, p in enumerate(self.places)}
         if len(self.place_index) != len(self.places):
             raise ModelStructureError("duplicate place names")
@@ -288,7 +272,15 @@ class Net:
             i for i, p in enumerate(self.places) if p.timed
         )
 
-        specs = sorted(_declared(TransitionSpec, transitions), key=lambda t: t.name)
+        specs = _declared(TransitionSpec, transitions)
+        for t in specs:
+            if not (isinstance(t.name, str) and isinstance(t.inputs, (list, tuple))
+                    and isinstance(t.outputs, (list, tuple))
+                    and (t.guard is None or callable(t.guard))):
+                raise ModelStructureError(
+                    f"transition {t.name!r} needs a str name, inputs and outputs "
+                    "in lists or tuples, and a guard that is None or callable")
+        specs = sorted(specs, key=lambda t: t.name)
         if len({t.name for t in specs}) != len(specs):
             raise ModelStructureError("duplicate transition names")
         arcs = [self._arcs(t) for t in specs]
@@ -353,9 +345,9 @@ class Net:
 
         out_arcs = []
         for arc in spec.outputs:
-            if not isinstance(arc, OutputArc):
-                raise ModelStructureError(
-                    f"transition {spec.name}: output {arc!r} is not an OutputArc")
+            if not (isinstance(arc, OutputArc) and callable(arc.expr)):
+                raise ModelStructureError(f"transition {spec.name}: output {arc!r} "
+                                          "is not an OutputArc with a callable expr")
             idx = _index_of(self, arc.place, unknown)
             constant = not callable(arc.delay)
             # A stamp is int ms, like the clock.
@@ -399,7 +391,7 @@ def _index_of(net: Net, place: str, prefix: str = "") -> int:
     """The index of the place named ``place``; an error puts ``prefix`` first."""
     try:
         return net.place_index[place]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
         raise ModelStructureError(f"{prefix}unknown place {place}") from None
 
 
@@ -412,7 +404,7 @@ def _normalize_tokens(place: Place, tokens) -> list[tuple[Any, int]]:
     a timed place each token must be a ``(value, timestamp)`` pair, and
     the list is sorted by timestamp, stably; on an untimed place each is
     a bare value, stamped 0 and kept in the given order.  Every value
-    must be in the place's colour set.
+    must be of the place's colour.
     """
     if isinstance(tokens, (dict, str, bytes)):
         raise ModelStructureError(
@@ -436,11 +428,11 @@ def _normalize_tokens(place: Place, tokens) -> list[tuple[Any, int]]:
         entries.sort(key=_stamp)
     else:
         entries = [(value, 0) for value in tokens]
-    contains = place.colour.contains
+    colour = place.colour
     for value, _ts in entries:
-        if not contains(value):
+        if type(value) is not colour:
             raise ModelStructureError(
-                f"value {value!r} is not in colour set {place.colour.name} "
+                f"value {value!r} is not of colour {colour.__name__} "
                 f"of place {place.name}"
             )
     return entries
@@ -476,7 +468,7 @@ class SimState:
     an untimed place, ``(value, timestamp)`` pairs on a timed one; a
     place left out is empty.  The state builds its own store from it and
     shares no list with the caller: every token is checked against its
-    place's colour set, an untimed place keeps the given order, and a
+    place's colour, an untimed place keeps the given order, and a
     timed place is sorted by timestamp, stably.
     """
 
@@ -577,8 +569,8 @@ def _remove_value(tokens, value, now):
 
 def _outside(t_name, place, value):
     return ModelStructureError(
-        f"transition {t_name} produced {value!r}, outside the colour set "
-        f"of place {place.name}"
+        f"transition {t_name} produced {value!r}, not of colour "
+        f"{place.colour.__name__} of place {place.name}"
     )
 
 
@@ -672,10 +664,10 @@ def compile_transition(net, spec, in_arcs, out_arcs):
     src = ["def fire(state, assign):",
            "    now = state.now"]
     for i, (p, arc) in enumerate(out_arcs):
-        ns.update({f"expr{i}": arc.expr, f"check{i}": places[p].colour.contains,
+        ns.update({f"expr{i}": arc.expr, f"colour{i}": places[p].colour,
                    f"place{i}": places[p], f"delay{i}": arc.delay})
         src += [f"    value{i} = expr{i}(assign, state)",
-                f"    if not check{i}(value{i}): "
+                f"    if type(value{i}) is not colour{i}: "
                 f"raise _outside(NAME, place{i}, value{i})"]
         if callable(arc.delay):
             src += [f"    d{i} = delay{i}(assign, state)",

@@ -56,7 +56,6 @@ from typing import NamedTuple
 from cpnsim.engine import (
     All,
     Fired,
-    INT_SET,
     Net,
     OutputArc,
     Place,
@@ -64,7 +63,6 @@ from cpnsim.engine import (
     StepEvent,
     TransitionSpec,
     Var,
-    instance_set,
 )
 from cpnsim.stochastic import (
     UNIFORM_INT_MAX,
@@ -108,12 +106,14 @@ class WorkList(NamedTuple):
 
 
 def _check_int(field: str, value) -> None:
-    """Raise ValueError naming ``field`` unless ``value`` is an int.
+    """Raise ValueError naming ``field`` unless ``value``'s type is int.
 
     Equal configs share one compiled net (:func:`build_net`), so an int
     field takes no equal float or bool: 5000.0 would stamp float times.
+    Nor does it take an int subclass such as an ``IntEnum``: as a token
+    it would not be of colour ``int``.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise ValueError(f"{field} must be an int, got {value!r}")
 
 
@@ -353,21 +353,17 @@ _NETS_CACHED = 8
 @lru_cache(maxsize=_NETS_CACHED)
 def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
     """The raytracing net of ``(scene, params)``, compiled once."""
-    tile_set = instance_set("TILE", Tile)
-    node_set = instance_set("NODE", Node)
-    work_set = instance_set("TILELIST", WorkList)
-
     return Net([
-        Place("newScene", INT_SET),
-        Place("nodesNo", INT_SET),
-        Place("freeNodes", node_set),
-        Place("scStartTime", INT_SET),
-        Place("preparedTiles", work_set, timed=True),
-        Place("prepTile", tile_set),
-        Place("raytrTiles", tile_set, timed=True),
-        Place("unsrRaytrTiles", tile_set, timed=True),
-        Place("computedTiles", tile_set),
-        Place("invalidNodes", node_set, timed=True),
+        Place("newScene", int),
+        Place("nodesNo", int),
+        Place("freeNodes", Node),
+        Place("scStartTime", int),
+        Place("preparedTiles", WorkList, timed=True),
+        Place("prepTile", Tile),
+        Place("raytrTiles", Tile, timed=True),
+        Place("unsrRaytrTiles", Tile, timed=True),
+        Place("computedTiles", Tile),
+        Place("invalidNodes", Node, timed=True),
     ], [
         # Distribution of the scene is sequential over the client nodes, so
         # the work list only becomes available after (n - 1) transfers.

@@ -4,22 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from cpnsim.engine import SimState
-from cpnsim.stochastic import RngStream
-
 from helpers import build_guard_net
 
 
 @pytest.fixture
 def guard_net():
     return build_guard_net()
-
-
-@pytest.fixture
-def fresh_state():
-    """State factory with a fixed seed unless overridden."""
-
-    def make(net, marking, seed=(1234,), now=0):
-        return SimState(net, marking, RngStream(*seed), now=now)
-
-    return make

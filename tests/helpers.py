@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from cpnsim.engine import (
-    INT_SET,
     Fired,
     Net,
     OutputArc,
@@ -20,7 +19,7 @@ def build_guard_net():
     only when x > y, emitting x + y into p3.
     """
     return Net(
-        [Place("p1", INT_SET), Place("p2", INT_SET), Place("p3", INT_SET)],
+        [Place("p1", int), Place("p2", int), Place("p3", int)],
         [TransitionSpec(
             "tt",
             inputs=[("p1", Var("x")), ("p2", Var("y"))],
@@ -36,14 +35,14 @@ def build_delay_net(with_consumer: bool, delay: int = 10):
     Without the consumer the token parked in tp2 never enables anything
     and the net dies right after the single tt1 firing.
     """
-    places = [Place("tp1", INT_SET, timed=True), Place("tp2", INT_SET, timed=True)]
+    places = [Place("tp1", int, timed=True), Place("tp2", int, timed=True)]
     transitions = [TransitionSpec(
         "tt1",
         inputs=[("tp1", Var("x"))],
         outputs=[OutputArc("tp2", lambda v, s: v["x"], delay=delay)],
     )]
     if with_consumer:
-        places.append(Place("tp3", INT_SET, timed=True))
+        places.append(Place("tp3", int, timed=True))
         transitions.append(TransitionSpec(
             "tt2",
             inputs=[("tp2", Var("x"))],

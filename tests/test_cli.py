@@ -115,6 +115,20 @@ class TestParsing:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    # argparse alone would take each of these values for an option and
+    # report its flag as missing an argument.
+    @pytest.mark.parametrize("flags, message", [
+        ("--complexity-range -1:5", "bad complexity range (-1, 5)"),
+        ("--scene -4000x3000", "width must be >= 1"),
+        ("--param-send_mean_ms -1e5", "send_mean_ms must be >= 0"),
+    ], ids=["complexity-range", "scene", "param"])
+    def test_a_value_that_starts_with_a_dash_reaches_its_check(
+            self, flags, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(flags.split() + ["--out", str(tmp_path / "results")])
+        assert exc.value.code == 2
+        assert f"cpnsim: error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["recovery_max_ms", "chck_max_mult"])
     def test_int64_draw_bounds_are_the_limit(self, field, tmp_path, capsys):
         # uniform_int hands these bounds to numpy's int64 draws.

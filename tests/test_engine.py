@@ -12,7 +12,6 @@ from cpnsim.engine import (
     DeadMarking,
     Fired,
     FiringError,
-    INT_SET,
     ModelStructureError,
     Net,
     OutputArc,
@@ -26,7 +25,6 @@ from cpnsim.engine import (
     advance_time,
     enabled_bindings,
     fire,
-    instance_set,
     run,
     step,
 )
@@ -90,7 +88,8 @@ class TestAddTokens:
             state_of(guard_net, {"nope": [1]})
 
     def test_colour_mismatch_rejected(self, guard_net):
-        with pytest.raises(ModelStructureError, match="colour set INT"):
+        with pytest.raises(ModelStructureError,
+                           match="^value 'text' is not of colour int of place p1$"):
             state_of(guard_net, {"p1": ["text"]})
 
     def test_timestamp_on_untimed_place_rejected(self, guard_net):
@@ -152,7 +151,6 @@ def test_reprs_name_the_object_and_its_size(guard_net):
     step(guard_net, state)
     assert repr(guard_net) == "Net(3 places, 1 transitions)"
     assert repr(state) == "SimState(now=0, steps=1, tokens=2)"
-    assert repr(INT_SET) == "ColourSet(INT)"
     assert repr(state.rng) == "RngStream(7:1)"
 
 
@@ -191,7 +189,7 @@ class TestEnabledBindings:
         assert len(enabled_bindings(guard_net, state)) == 1
 
     def test_enumeration_order_is_sorted_by_value(self):
-        net = Net([Place("a", INT_SET), Place("out", INT_SET)],
+        net = Net([Place("a", int), Place("out", int)],
                   [TransitionSpec("t", inputs=[("a", Var("x"))],
                                   outputs=[OutputArc("out", lambda v, s: v["x"])])])
         state = state_of(net, {"a": [3, 1, 2]})
@@ -291,7 +289,7 @@ class TestFire:
         ([(3,), (1, 2), (1, 2)], [((1, 2), None, 1), ((3,), None, 1)]),
     ], ids=["one-token", "several-tokens"])
     def test_consumption_matches_values_by_equality(self, tokens, left):
-        net = Net([Place("a", instance_set("L", tuple)), Place("out", INT_SET)],
+        net = Net([Place("a", tuple), Place("out", int)],
                   [TransitionSpec("t", inputs=[("a", Var("xs"))],
                                   outputs=[OutputArc("out", lambda v, s: len(v["xs"]))])])
         state = state_of(net, {"a": tokens})
@@ -308,7 +306,7 @@ class TestFire:
         assert place == [(value, 0) for value in expected]
 
     def test_oldest_ready_token_consumed_first(self):
-        net = Net([Place("src", INT_SET, timed=True), Place("dst", INT_SET)],
+        net = Net([Place("src", int, timed=True), Place("dst", int)],
                   [TransitionSpec("t", inputs=[("src", Var("x"))],
                                   outputs=[OutputArc("dst", lambda v, s: v["x"])])])
         marking = {"src": [(5, 3), (5, 7)]}
@@ -323,7 +321,7 @@ class TestFire:
                                (0.5, "non-int delay 0.5"),
                                (True, "non-int delay True")):
             net = Net(
-                [Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+                [Place("a", int, timed=True), Place("b", int, timed=True)],
                 [TransitionSpec("t", inputs=[("a", Var("x"))],
                                 outputs=[OutputArc("b", lambda v, s: v["x"],
                                                    delay=lambda v, s, d=delay: d)])])
@@ -334,7 +332,7 @@ class TestFire:
     def test_raising_arc_expression_changes_nothing(self):
         # The first output is fine; the second raises.
         net = Net(
-            [Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+            [Place("a", int, timed=True), Place("b", int, timed=True)],
             [TransitionSpec("t", inputs=[("a", Var("x"))],
                             outputs=[OutputArc("b", lambda v, s: v["x"], delay=5),
                                      OutputArc("b", lambda v, s: 1 // 0)])])
@@ -348,7 +346,7 @@ class TestFire:
                                (2.5, "delay 2.5 .* neither an int"),
                                (True, "delay True .* neither an int")):
             with pytest.raises(ModelStructureError, match=message):
-                Net([Place("a", INT_SET, timed=True)],
+                Net([Place("a", int, timed=True)],
                     [TransitionSpec("t", inputs=[("a", Var("x"))],
                                     outputs=[OutputArc("a", lambda v, s: v["x"],
                                                        delay)])])
@@ -356,7 +354,7 @@ class TestFire:
     def test_tracebacks_show_the_generated_lines(self):
         # A failed replication is logged with this traceback text: it
         # names the generated file and shows the line that raised.
-        net = Net([Place("a", INT_SET), Place("b", INT_SET)], [
+        net = Net([Place("a", int), Place("b", int)], [
             TransitionSpec("boom", [("a", Var("x"))],
                            [OutputArc("b", lambda v, s: 1 // 0)]),
             TransitionSpec("picky", [("b", Var("y"))], [],
@@ -375,7 +373,7 @@ class TestFire:
         # so building the second keeps the first's lines in linecache.
         def net_with_outputs(n):
             outputs = [OutputArc("b", lambda v, s: v["x"])] * (n - 1)
-            return Net([Place("a", INT_SET), Place("b", INT_SET)],
+            return Net([Place("a", int), Place("b", int)],
                        [TransitionSpec("t", [("a", Var("x"))],
                                        outputs + [OutputArc("b", lambda v, s: 1 // 0)])])
 
@@ -414,7 +412,7 @@ class TestAdvanceTime:
     def test_skips_times_that_enable_nothing(self):
         # Tokens mature at 12 and 15-but only the @15 one passes the
         # guard, so the clock must jump straight to 15.
-        net = Net([Place("a", INT_SET, timed=True), Place("out", INT_SET)],
+        net = Net([Place("a", int, timed=True), Place("out", int)],
                   [TransitionSpec("t", inputs=[("a", Var("x"))],
                                   guard=lambda v: v["x"] == 1,
                                   outputs=[OutputArc("out", lambda v, s: v["x"])])])
@@ -433,7 +431,7 @@ class TestAdvanceTime:
     def test_a_tie_across_places_wakes_both(self):
         # Two timed places whose first pending tokens share a stamp: the
         # advance must clear the memos of both places' watchers.
-        net = Net([Place(name, INT_SET, timed=True) for name in ("a", "b")],
+        net = Net([Place(name, int, timed=True) for name in ("a", "b")],
                   [TransitionSpec(f"take_{name}", [(name, Var("x"))], [])
                    for name in ("a", "b")])
         marking = {"a": [(1, 5)], "b": [(2, 5)]}
@@ -481,7 +479,7 @@ class TestStepAndRun:
         def picky(v):
             raise RuntimeError("guard bug")
 
-        net = Net([Place("a", INT_SET, timed=True), Place("b", INT_SET, timed=True)],
+        net = Net([Place("a", int, timed=True), Place("b", int, timed=True)],
                   [TransitionSpec("s", [("a", Var("x"))], []),
                    TransitionSpec("t", [("b", Var("y"))], [], guard=picky)])
         state = state_of(net, {"a": [(1, 10)], "b": [(1, 10)]})
@@ -551,7 +549,7 @@ class TestStepAndRun:
         ]
 
     def test_step_limit_raises(self):
-        net = Net([Place("a", INT_SET)],
+        net = Net([Place("a", int)],
                   [TransitionSpec("loop", inputs=[("a", Var("x"))],
                                   outputs=[OutputArc("a", lambda v, s: v["x"])])])
         state = state_of(net, {"a": [0]})
@@ -590,7 +588,7 @@ class TestStepAndRun:
 class TestAllArc:
     @staticmethod
     def collector_net(require, timed=False):
-        return Net([Place("pool", INT_SET, timed=timed), Place("out", INT_SET)], [
+        return Net([Place("pool", int, timed=timed), Place("out", int)], [
             TransitionSpec(
                 "collect",
                 inputs=[("pool", All("xs", require=require))],
@@ -641,34 +639,52 @@ class TestAllArc:
 
 class TestNetValidation:
     def test_duplicate_place_names_rejected(self):
-        # So is a place that is not a Place declaration.
-        for places, message in (([Place("a", INT_SET)] * 2, "duplicate place"),
-                                (["a"], "'a' is not a Place")):
+        # So is a place that is not a Place declaration, and a Place
+        # whose name is not a str, whose colour is not a class or whose
+        # timed flag is not a bool.
+        for places, message in (
+                ([Place("a", int)] * 2, "duplicate place"),
+                (["a"], "'a' is not a Place"),
+                ([Place(["a"], int)], r"^Place\(name=\['a'\], .*: a place needs"),
+                ([Place(1, int)], r"^Place\(name=1, .*: a place needs"),
+                ([Place("a", None)], r"^Place\(name='a', colour=None, .*: a place needs"),
+                ([Place("a", int, timed="yes")], r"timed='yes'\): a place needs")):
             with pytest.raises(ModelStructureError, match=message):
                 Net(places, [])
 
     def test_duplicate_transition_names_rejected(self):
-        # So is a transition that is not a TransitionSpec declaration.
+        # So is a transition that is not a TransitionSpec declaration, and
+        # a TransitionSpec whose name is not a str, whose arcs are not in
+        # a list or tuple or whose guard cannot be called.
         spec = TransitionSpec("t", inputs=[("a", Var("x"))], outputs=[])
-        for transitions, message in (([spec] * 2, "duplicate transition"),
-                                     ([("t", [], [])], "is not a TransitionSpec")):
+        for transitions, message in (
+                ([spec] * 2, "duplicate transition"),
+                ([("t", [], [])], "is not a TransitionSpec"),
+                ([TransitionSpec(1, [], [])], "^transition 1 needs a str name"),
+                ([TransitionSpec("t", None, [])], "^transition 't' needs"),
+                ([TransitionSpec("t", [], None)], "^transition 't' needs"),
+                ([TransitionSpec("t", [("a", Var("x"))], [], guard=1)],
+                 "^transition 't' needs")):
             with pytest.raises(ModelStructureError, match=message):
-                Net([Place("a", INT_SET)], transitions)
+                Net([Place("a", int)], transitions)
 
     def test_unknown_place_in_arc_rejected(self):
-        for inputs, outputs in (
-                ([("ghost", Var("x"))], []),
-                ([("a", Var("x"))], [OutputArc("ghost", lambda v, s: v["x"])])):
-            with pytest.raises(ModelStructureError) as exc:
-                Net([Place("a", INT_SET)],
-                    [TransitionSpec("t", inputs=inputs, outputs=outputs)])
-            assert str(exc.value) == "transition t references unknown place ghost"
+        # A list, which cannot be a dict key, names no place either.
+        for ghost in ("ghost", ["ghost"]):
+            for inputs, outputs in (
+                    ([(ghost, Var("x"))], []),
+                    ([("a", Var("x"))], [OutputArc(ghost, lambda v, s: v["x"])])):
+                with pytest.raises(ModelStructureError) as exc:
+                    Net([Place("a", int)],
+                        [TransitionSpec("t", inputs=inputs, outputs=outputs)])
+                assert str(exc.value) == (
+                    f"transition t references unknown place {ghost}")
 
     def test_constant_delay_to_untimed_place_rejected(self):
         # A delay function on an untimed place would never be called.
         for delay in (5, lambda v, s: 5):
             with pytest.raises(ModelStructureError):
-                Net([Place("a", INT_SET), Place("b", INT_SET)],
+                Net([Place("a", int), Place("b", int)],
                     [TransitionSpec("t", inputs=[("a", Var("x"))],
                                     outputs=[OutputArc("b", lambda v, s: v["x"],
                                                        delay)])])
@@ -677,17 +693,19 @@ class TestNetValidation:
         # Each output form (untimed, constant delay, delay function)
         # generates its own lines, and each checks the colour.
         for timed, delay in ((False, 0), (True, 3), (True, lambda v, s: 3)):
-            net = Net([Place("a", INT_SET), Place("out", INT_SET, timed=timed)],
+            net = Net([Place("a", int), Place("out", int, timed=timed)],
                       [TransitionSpec("t", inputs=[("a", Var("x"))],
                                       outputs=[OutputArc("out",
                                                          lambda v, s: str(v["x"]),
                                                          delay)])])
             state = state_of(net, {"a": [1]})
-            assert_failed_firing_changes_nothing(net, state,
-                                                 ModelStructureError)
+            assert_failed_firing_changes_nothing(
+                net, state, ModelStructureError,
+                match="^transition t produced '1', not of colour int of place out$")
 
     # So is an arc that is not a declaration: an input that is not a
-    # (place, pattern) pair, an output that is not an OutputArc.
+    # (place, pattern) pair, an output that is not an OutputArc or whose
+    # expr cannot be called.
     @pytest.mark.parametrize("inputs, outputs", [
         ([("a", Var("x")), ("a", Var("y"))], []),
         ([("a", Var("x")), ("b", Var("x"))], []),
@@ -698,13 +716,14 @@ class TestNetValidation:
         ([("a", All(b"xs", 1))], []),
         (["a"], []),
         ([("a", Var("x"))], [("b", lambda v, s: 1)]),
+        ([("a", Var("x"))], [OutputArc("b", 1)]),
     ], ids=["two-vars-one-place", "one-var-two-places",
             "all-and-var-one-place", "all-and-var-one-variable",
             "unknown-pattern", "var-name-not-a-str", "all-name-not-a-str",
-            "input-not-a-pair", "output-not-an-OutputArc"])
+            "input-not-a-pair", "output-not-an-OutputArc", "expr-not-callable"])
     def test_input_arcs_need_their_own_place_and_variable(self, inputs, outputs):
         with pytest.raises(ModelStructureError, match="transition t"):
-            Net([Place("a", INT_SET), Place("b", INT_SET)],
+            Net([Place("a", int), Place("b", int)],
                 [TransitionSpec("t", inputs=inputs, outputs=outputs)])
 
     def test_declarations_may_come_from_any_iterable(self):

@@ -48,11 +48,11 @@ def package_imports(path: Path) -> set[str]:
 # The declarations a net is built from, its state, events and errors,
 # and the moves on it.
 ENGINE_API = {
-    "All", "ColourSet", "DEFAULT_STEP_LIMIT", "DeadMarking", "EngineError",
-    "Fired", "FiringError", "INT_SET", "ModelStructureError", "Net",
-    "OutputArc", "Place", "SimState", "StepEvent", "StepLimitExceeded",
-    "TimeAdvanced", "TransitionSpec", "Var", "advance_time",
-    "enabled_bindings", "fire", "instance_set", "kernel_name", "run", "step",
+    "All", "DEFAULT_STEP_LIMIT", "DeadMarking", "EngineError", "Fired",
+    "FiringError", "ModelStructureError", "Net", "OutputArc", "Place",
+    "SimState", "StepEvent", "StepLimitExceeded", "TimeAdvanced",
+    "TransitionSpec", "Var", "advance_time", "enabled_bindings", "fire",
+    "kernel_name", "run", "step",
 }
 
 

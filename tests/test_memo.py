@@ -20,7 +20,6 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from cpnsim.engine import (
-    INT_SET,
     All,
     DeadMarking,
     Fired,
@@ -206,7 +205,7 @@ class TestStepReadsTheMemos:
         a has one Var arc, c two Var arcs on different places, so the
         memos read [2 bindings, none, 4 bindings].
         """
-        net = Net([Place(p, INT_SET) for p in ("p0", "p1", "p2")], [
+        net = Net([Place(p, int) for p in ("p0", "p1", "p2")], [
             TransitionSpec("a", [("p0", Var("x"))], []),
             TransitionSpec("b", [("p1", Var("x"))], [], guard=lambda v: v["x"] > 5),
             TransitionSpec("c", [("p2", Var("x")), ("p0", Var("y"))],
@@ -241,8 +240,8 @@ class TestStepReadsTheMemos:
             return (v["x"] + v["y"]) % 3 != 0
 
         net = Net(
-            [Place("p1", INT_SET), Place("p2", INT_SET, timed=True),
-             Place("out", INT_SET)],
+            [Place("p1", int), Place("p2", int, timed=True),
+             Place("out", int)],
             [TransitionSpec("xy", [("p1", Var("x")), ("p2", Var("y"))],
                             [OutputArc("out", lambda v, s: v["x"])], guard=guard),
              TransitionSpec("yx", [("p2", Var("y")), ("p1", Var("x"))],
@@ -307,7 +306,7 @@ def small_timed_nets(draw):
     """
     n_places = draw(st.integers(1, 3))
     timed = [draw(st.booleans()) for _ in range(n_places)]
-    declared = [Place(f"p{p}", INT_SET, timed=is_timed)
+    declared = [Place(f"p{p}", int, timed=is_timed)
                 for p, is_timed in enumerate(timed)]
     transitions = []
     for t in range(draw(st.integers(1, 3))):
@@ -376,9 +375,9 @@ def test_names_with_quotes_backslashes_and_newlines():
     # pasted into the generated source unquoted would not compile.
     odd = "'\"\\\n"
     net = Net([
-        Place(f"p{odd}", INT_SET),
-        Place(f"q{odd}", INT_SET),
-        Place(f"r{odd}", INT_SET, timed=True),
+        Place(f"p{odd}", int),
+        Place(f"q{odd}", int),
+        Place(f"r{odd}", int, timed=True),
     ], [
         TransitionSpec(f"t{odd}", [(f"p{odd}", Var(f"x{odd}")),
                                    (f"r{odd}", Var(f"y{odd}"))],
@@ -396,7 +395,7 @@ def test_names_with_quotes_backslashes_and_newlines():
 
 
 def test_a_transition_without_inputs_lists_one_empty_assignment():
-    net = Net([Place("p", INT_SET)],
+    net = Net([Place("p", int)],
               [TransitionSpec("source", [], [OutputArc("p", lambda v, s: 1)])])
     state = SimState(net, {}, NoPick())
     assert enabled_bindings(net, state) == [("source", {})]

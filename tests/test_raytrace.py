@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -352,14 +354,21 @@ class TestBuildNet:
 
     def test_int_fields_reject_other_types(self):
         # Equal configs share one net, so 5000.0 must not pass for 5000:
-        # its net would stamp float model times.
+        # its net would stamp float model times.  An IntEnum would be a
+        # token of another colour than int.
+        class Sizes(enum.IntEnum):
+            NODES = 2
+            COMPLEXITY = 1000
+
         for field, value in (("chck_per_ms", 5000.0), ("node_count", True),
-                             ("chck_max_mult", 6.0), ("recovery_max_ms", 1e6)):
+                             ("chck_max_mult", 6.0), ("recovery_max_ms", 1e6),
+                             ("node_count", Sizes.NODES)):
             with pytest.raises(ValueError, match=f"^{field} must be an int"):
                 params(**{field: value})
         for field, value in (("width", 4000.0), ("tile_height", True),
                              ("complexity", 1000.0),
-                             ("complexity", (500.0, 1500))):
+                             ("complexity", (500.0, 1500)),
+                             ("complexity", Sizes.COMPLEXITY)):
             config = dict(width=4000, height=3000, tile_width=1000,
                           tile_height=750, complexity=1000)
             config[field] = value
