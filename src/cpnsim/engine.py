@@ -19,22 +19,25 @@ The marking is ``state.store``: per place index, a list of
 ``(value, timestamp)`` pairs, one entry per token.  An untimed place stamps every
 token 0 and keeps them in arrival order; a timed place keeps them
 sorted by timestamp, in arrival order among equal timestamps.  Either
-way a place's ready tokens are a prefix found by bisection.  A firing
-adds the tokens it produces (appended, or inserted at their timestamp)
-and deletes the ones it consumes; a place's token count is the length
-of its list.  No token value is ever hashed: candidates are found by
+way a place's ready tokens are a prefix: all of an untimed place, and
+none of a timed place whose first token is pending.  A firing adds the
+tokens it produces (appended, or inserted at their timestamp) and
+deletes the ones it consumes; a place's token count is the length of
+its list.  No token value is ever hashed: candidates are found by
 sorting a place's ready values and grouping equal neighbours, and
-consumed tokens by comparing values.  A place of one token, such as the
-raytracing model's work list, needs no sort.  Public accessors group
-equal tokens into ``(value, timestamp, count)`` triples and report
-``None`` timestamps for untimed places.
+consumed tokens by identity with the place's first token, else by
+comparing values.  One ready token, such as the raytracing model's work
+list, needs no sort.  Public accessors group equal tokens into
+``(value, timestamp, count)`` triples and report ``None`` timestamps
+for untimed places.
 
 When a ``Net`` is built, each transition's two plain functions are
 generated as source and compiled (:func:`compile_transition`): place
 and memo indices, variable names, arc order and delay forms are written
-in, not looked up on each step.  ``step``, ``enabled_bindings``,
-``fire`` and ``advance_time`` all call them, so there is one firing
-rule; a traceback shows the generated line.
+in, not looked up on each step.  So is the net's step loop, which
+``step`` and ``run`` call.  The loop, ``enabled_bindings``, ``fire`` and
+``advance_time`` all call the transitions' functions, so there is one
+firing rule; a traceback shows the generated line.
 
 * ``bindings(store, now)`` lists the enabled assignments.  Every input
   arc has its own place and its own variable (``Net`` rejects anything
@@ -44,7 +47,8 @@ rule; a traceback shows the generated line.
   hold exactly its count of tokens; its tuple is all of them, sorted.
 * ``fire(state, assignment)`` first evaluates every output arc, in arc
   order ``expr`` then ``delay``, with its colour check and, for a delay
-  function, the check for an int of 0 or more; only then does it
+  function, the check for an ``int`` of 0 or more (the exact type, as
+  for colours); only then does it
   consume the inputs and add the outputs.  A firing that raises,
   whether in a check or in an arc expression, leaves the marking,
   ``step_count`` and the memos as they were; RNG draws that earlier
@@ -71,18 +75,18 @@ memos of the watchers of its input places, of its untimed output
 places and of its timed output places with constant delay 0.  Only a
 delay function that returns 0 clears more, its place's watchers, at
 run time; a token stamped later changes nothing until the clock
-reaches it.  ``step`` makes one pass over the memos, the generated
-``net.refresh(cache, store, now)``, that rebuilds the cleared ones,
-sums their lengths to get the number ``n`` of enabled bindings and
-notes the last transition with a non-empty memo.  With ``n == 1``, the
-common case, that memo's one binding fires without a draw or a second
-pass; only with ``n > 1`` does ``step`` draw ``k`` and walk the memos
-in transition order to the ``k``-th binding.  It builds no list of all
+reaches it.  Each step of the net's generated loop, ``net.loop``, makes
+one unrolled pass over the memos that rebuilds the cleared ones, sums
+their lengths to get the number ``n`` of enabled bindings and notes the
+last transition with a non-empty memo.  With ``n == 1``, the common
+case, that memo's one binding fires without a draw or a second pass;
+only with ``n > 1`` does the loop draw ``k`` and walk the memos in
+transition order to the ``k``-th binding.  It builds no list of all
 bindings.
 
 Time advance reads the store.  A timed place is sorted by timestamp,
 so its first pending token, stamped later than ``now``, comes right
-after its ready prefix.  When nothing is enabled, ``step`` takes the
+after its ready prefix.  When nothing is enabled, the loop takes the
 least first-pending stamp over the timed places as the next time,
 clears the memos of the watchers of every place whose first pending
 stamp is that time (a tie clears every such place's watchers), moves
@@ -239,7 +243,8 @@ class _CompiledTransition(NamedTuple):
 
     ``bindings(store, now)`` lists the enabled assignments in
     enumeration order; ``fire(state, assignment)`` fires one of them.
-    :func:`compile_transition` writes their source from ``spec``.
+    :func:`compile_transition` writes their source from ``spec``, and
+    the net's step loop calls them as they are.
     """
 
     name: str
@@ -255,7 +260,8 @@ class Net:
     transitions are stored sorted by name, and binding enumeration visits
     them in that order, so event traces are reproducible.  Each is
     compiled once, here, by :func:`compile_transition`, and so is
-    ``refresh(cache, store, now)``, the memo pass of :func:`step`.
+    ``loop(state, stop, hooks, max_steps)``, the step loop that
+    :func:`run` and :func:`step` call (:func:`_compile_loop`).
     """
 
     def __init__(self, places: Iterable[Place], transitions: Iterable[TransitionSpec]):
@@ -300,8 +306,7 @@ class Net:
         self.transition_index: dict[str, int] = {
             t.name: i for i, t in enumerate(self.transitions)
         }
-        self.refresh: Callable[[list, list, int], tuple[int, int]] = (
-            _compile_refresh(self.transitions))
+        self.loop: Callable[..., StepEvent | None] = _compile_loop(self)
 
     def _arcs(self, spec: TransitionSpec):
         """Checked ``(place index, pattern)`` and ``(place index, OutputArc)`` lists."""
@@ -536,19 +541,6 @@ def _distinct(values):
     return distinct
 
 
-def _ready_candidates(tokens, now):
-    """The distinct ready values of a place, sorted.
-
-    The place is sorted by timestamp (an untimed place stamps every
-    token 0), so its ready tokens are the prefix that bisection finds;
-    one ready token needs no sort.
-    """
-    i = bisect_right(tokens, now, key=_stamp)
-    if i < 2:
-        return [tokens[0][0]] if i else []
-    return _distinct(sorted(map(_value, tokens[:i])))
-
-
 def _remove_value(tokens, value, now):
     """Remove the ready token of ``value`` with the smallest timestamp.
 
@@ -557,6 +549,8 @@ def _remove_value(tokens, value, now):
     first pending token.  The bound value is the very object enumeration
     read from this place, so identity is tested first: it spares a
     field-by-field comparison of tuple values such as nodes and tiles.
+    A generated ``fire`` calls this only when the place's first token is
+    not that object.
     """
     for i, (v, ts) in enumerate(tokens):
         if ts > now:
@@ -575,9 +569,15 @@ def _outside(t_name, place, value):
 
 
 def _bad_delay(t_name, delay):
-    kind = "negative" if _is_int(delay) else "non-int"
+    kind = "negative" if type(delay) is int else "non-int"
     return ModelStructureError(
         f"transition {t_name} produced a {kind} delay {delay!r}")
+
+
+def _unorderable(place):
+    return ModelStructureError(
+        f"the tokens of place {place.name} cannot be sorted: values of "
+        f"colour {place.colour.__name__} must be orderable")
 
 
 _COMPILED: dict[tuple[str, str], tuple[str, Any]] = {}  # see _define
@@ -615,10 +615,11 @@ def compile_transition(net, spec, in_arcs, out_arcs):
     the spec is read from the functions' shared globals.
     """
     places, watchers = net.places, net.place_watchers
-    ns = {"NAME": spec.name, "guard": spec.guard, "insort": insort,
-          "_bad_delay": _bad_delay, "_is_int": _is_int, "_outside": _outside,
-          "_ready_candidates": _ready_candidates,
-          "_remove_value": _remove_value, "_stamp": _stamp, "_value": _value}
+    ns = {"NAME": spec.name, "PLACES": places, "guard": spec.guard,
+          "bisect_right": bisect_right, "insort": insort,
+          "_bad_delay": _bad_delay, "_distinct": _distinct,
+          "_outside": _outside, "_remove_value": _remove_value,
+          "_stamp": _stamp, "_unorderable": _unorderable, "_value": _value}
     var_arcs = [(p, pattern.name) for p, pattern in in_arcs
                 if type(pattern) is Var]
     all_arcs = []
@@ -627,19 +628,28 @@ def compile_transition(net, spec, in_arcs, out_arcs):
             ns[f"require{len(all_arcs)}"] = pattern.require
             all_arcs.append((p, pattern.name))
 
-    # bindings: the count and empty tests, then one nested loop per Var
-    # arc over its candidates, the All arcs' tuples first in each
-    # assignment.
+    # bindings: the count, empty and pending-head tests, then one nested
+    # loop per Var arc over its candidates, the All arcs' tuples first
+    # in each assignment.  One ready token is its place's one candidate.
     src = ["def bindings(store, now):"]
     src += [f"    if len(store[{p}]) != require{i}: return []"
             for i, (p, _name) in enumerate(all_arcs)]
-    src += [f"    if not store[{p}]: return []" for p, _name in var_arcs]
+    for i, (p, _name) in enumerate(var_arcs):
+        pending = f" or tokens{i}[0][1] > now" if places[p].timed else ""
+        src += [f"    tokens{i} = store[{p}]",
+                f"    if not tokens{i}{pending}: return []"]
     src += [f"    all{i} = tuple(sorted(map(_value, store[{p}])))"
             for i, (p, _name) in enumerate(all_arcs)]
     for i, (p, _name) in enumerate(var_arcs):
-        src.append(f"    ready{i} = _ready_candidates(store[{p}], now)")
-        if i < len(var_arcs) - 1:
-            src.append(f"    if not ready{i}: return []")
+        one, ready = f"len(tokens{i}) == 1", f"tokens{i}"
+        if places[p].timed:
+            one += f" or tokens{i}[1][1] > now"
+            ready += f"[:bisect_right(tokens{i}, now, key=_stamp)]"
+        src += [f"    if {one}: ready{i} = (tokens{i}[0][0],)",
+                "    else:",
+                f"        try: ready{i} = _distinct(sorted(map(_value, {ready})))",
+                "        except TypeError as exc: "
+                f"raise _unorderable(PLACES[{p}]) from exc"]
     src.append("    out = []")
     src += [f"{'    ' * (i + 1)}for v{i} in ready{i}:"
             for i in range(len(var_arcs))]
@@ -671,13 +681,17 @@ def compile_transition(net, spec, in_arcs, out_arcs):
                 f"raise _outside(NAME, place{i}, value{i})"]
         if callable(arc.delay):
             src += [f"    d{i} = delay{i}(assign, state)",
-                    f"    if not _is_int(d{i}) or d{i} < 0: "
+                    f"    if type(d{i}) is not int or d{i} < 0: "
                     f"raise _bad_delay(NAME, d{i})"]
         elif arc.delay == 0:
             cleared.update(watchers[p])
     src.append("    store = state.store")
-    src += [f"    _remove_value(store[{p}], assign[{name!r}], now)"
-            for p, name in var_arcs]
+    # The bound value is the object enumeration read, and a place's
+    # first token is its oldest, so identity with it settles most cases.
+    for i, (p, name) in enumerate(var_arcs):
+        src += [f"    bound{i} = assign[{name!r}]",
+                f"    if store[{p}][0][0] is bound{i}: del store[{p}][0]",
+                f"    else: _remove_value(store[{p}], bound{i}, now)"]
     for i, (p, _name) in enumerate(all_arcs):
         src += [f"    assert len(store[{p}]) == require{i}, "
                 "'population changed since enumeration'",
@@ -701,80 +715,101 @@ def compile_transition(net, spec, in_arcs, out_arcs):
     return _CompiledTransition(spec.name, spec, bindings, fire)
 
 
-def _compile_refresh(transitions):
-    """``refresh(cache, store, now)``, the memo pass: rebuild the stale memos.
+def _compile_loop(net):
+    """``loop(state, stop, hooks, max_steps)``, the net's step loop.
 
-    It returns the number ``n`` of enabled bindings and the index of
-    the last transition with a non-empty memo (-1 when ``n`` is 0).
-    Rebuilt in transition order, the memos list what
-    :func:`enabled_bindings` lists.
+    Its steps are those of the module docstring, each followed by the
+    hooks and ``stop`` as :func:`run` says; it returns the last event,
+    or None if ``stop`` held before the first step.  The memo pass is
+    unrolled in transition order, so the memos list what
+    :func:`enabled_bindings` lists.  ``tuple.__new__`` makes the events
+    without the named tuples' Python ``__new__``.
     """
+    transitions = net.transitions
     ns = {f"bindings{t_idx}": t.bindings for t_idx, t in enumerate(transitions)}
-    src = ["def refresh(cache, store, now):",
-           "    n = 0",
-           "    last = -1"]
+    ns.update(FIRE=tuple(t.fire for t in transitions),
+              NAMES=tuple(t.name for t in transitions),
+              TIMED=net.timed_places, WATCHERS=net.place_watchers,
+              DeadMarking=DeadMarking, Fired=Fired, TimeAdvanced=TimeAdvanced,
+              StepLimitExceeded=StepLimitExceeded, bisect_right=bisect_right,
+              _stamp=_stamp)
+    src = ["def loop(state, stop, hooks, max_steps):",
+           "    if stop is not None and stop(state, None): return None",
+           "    store, cache = state.store, state.cache",
+           "    steps = 0",
+           "    while True:",
+           "        steps += 1",
+           "        if steps > max_steps: raise StepLimitExceeded(max_steps)",
+           "        previous = now = state.now",
+           "        while True:",
+           "            n = 0"]
     for t_idx in range(len(transitions)):
-        src += [f"    memo = cache[{t_idx}]",
-                "    if memo is None:",
-                f"        memo = cache[{t_idx}] = bindings{t_idx}(store, now)",
-                "    if memo:",
-                "        n += len(memo)",
-                f"        last = {t_idx}"]
-    src.append("    return n, last")
-    return _define("refresh", "refresh", src, ns)
+        src += [f"            memo = cache[{t_idx}]",
+                "            if memo is None:",
+                f"                memo = cache[{t_idx}] = bindings{t_idx}(store, now)",
+                "            if memo:",
+                "                n += len(memo)",
+                f"                last = {t_idx}"]
+    src += [
+        "            if n: break",
+        # Nothing is enabled: the least first-pending stamp, and every
+        # place stamped so, whose watchers' memos go stale there.
+        "            t = None",
+        "            for p in TIMED:",
+        "                tokens = store[p]",
+        "                if not tokens or tokens[-1][1] <= now: continue",
+        "                ts = tokens[0][1]",
+        "                if ts <= now:",
+        "                    ts = tokens[bisect_right(tokens, now, key=_stamp)][1]",
+        "                if t is None or ts < t:",
+        "                    t, due = ts, [p]",
+        "                elif ts == t:",
+        "                    due.append(p)",
+        "            if t is None: break",
+        "            for p in due:",
+        "                for w in WATCHERS[p]:",
+        "                    cache[w] = None",
+        "            state.now = now = t",
+        "        if not n:",
+        # Dead: put the clock back.  Every memo is empty, as at previous.
+        "            state.now = previous",
+        "            event = tuple.__new__(DeadMarking, (previous,))",
+        "        elif now != previous:",
+        "            event = tuple.__new__(TimeAdvanced, (previous, now))",
+        "        else:",
+        "            if n == 1:",
+        "                assign = cache[last][0]",
+        "            else:",
+        "                k = state.rng.pick(n)",
+        "                last = 0",
+        "                for memo in cache:",
+        "                    if k < len(memo): break",
+        "                    k -= len(memo)",
+        "                    last += 1",
+        "                assign = memo[k]",
+        "            FIRE[last](state, assign)",
+        "            event = tuple.__new__(Fired, (NAMES[last], assign, now))",
+        "        for hook in hooks:",
+        "            hook(state, event)",
+        "        if stop is not None and stop(state, event) or not n:",
+        "            return event"]
+    return _define("loop", "loop", src, ns)
+
+
+def _after_one_step(state, event):
+    return event is not None
 
 
 def step(net, state):
     """Fire one enabled binding (uniform choice) or advance model time.
 
-    One pass over the memos (``net.refresh``) gives the number ``n`` of
-    enabled bindings.  With one, its binding fires without a
-    draw or a walk; with more, ``k`` is drawn and the memos are walked
-    in transition order to the ``k``-th binding.  Returns the resulting
-    :class:`Fired`, :class:`TimeAdvanced` or :class:`DeadMarking` event.
+    One step of the net's loop: with one binding enabled it fires
+    without a draw or a walk; with more, ``k`` is drawn and the memos
+    are walked in transition order to the ``k``-th binding.  Returns
+    the resulting :class:`Fired`, :class:`TimeAdvanced` or
+    :class:`DeadMarking` event.
     """
-    n, t_idx = net.refresh(state.cache, state.store, state.now)
-    if n:
-        if n == 1:
-            assign = state.cache[t_idx][0]
-        else:
-            k = state.rng.pick(n)
-            for t_idx, memo in enumerate(state.cache):
-                if k < len(memo):
-                    break
-                k -= len(memo)
-            assign = memo[k]
-        t = net.transitions[t_idx]
-        t.fire(state, assign)
-        return Fired(t.name, assign, state.now)
-    previous = now = state.now
-    store, cache = state.store, state.cache
-    watchers = net.place_watchers
-    while True:
-        # The least first-pending stamp, and every place stamped so.
-        t, due = None, []
-        for p in net.timed_places:
-            tokens = store[p]
-            if not tokens or tokens[-1][1] <= now:
-                continue
-            ts = tokens[0][1]
-            if ts <= now:
-                ts = tokens[bisect_right(tokens, now, key=_stamp)][1]
-            if t is None or ts < t:
-                t, due = ts, [p]
-            elif ts == t:
-                due.append(p)
-        if t is None:
-            # Dead: put the clock back.  Every memo is empty, as at
-            # ``previous``.
-            state.now = previous
-            return DeadMarking(previous)
-        for p in due:
-            for w in watchers[p]:
-                cache[w] = None
-        state.now = now = t
-        if net.refresh(cache, store, now)[0]:
-            return TimeAdvanced(previous, t)
+    return net.loop(state, _after_one_step, (), 1)
 
 
 def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):
@@ -788,21 +823,8 @@ def run(net, state, stop=None, hooks=(), max_steps=DEFAULT_STEP_LIMIT):
     Raises :class:`StepLimitExceeded` after ``max_steps`` steps as a
     guard against runaway models.
     """
-    hooks = tuple(hooks)
-    if stop is not None and stop(state, None):
-        return state
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > max_steps:
-            raise StepLimitExceeded(max_steps)
-        event = step(net, state)
-        for hook in hooks:
-            hook(state, event)
-        if stop is not None and stop(state, event):
-            return state
-        if type(event) is DeadMarking:
-            return state
+    net.loop(state, stop, tuple(hooks), max_steps)
+    return state
 
 
 def kernel_name():

@@ -247,7 +247,8 @@ def run_experiment_detailed(plan: ExperimentPlan) -> ExperimentResult:
         # Imported here, so that an in-process sweep never loads the pool stack.
         from concurrent.futures import ProcessPoolExecutor
 
-        # A fork-started pool starts all of its workers at once.
+        # A pool may start all of its workers at once (fork), and under
+        # spawn or forkserver each one imports numpy: start no idle ones.
         with ProcessPoolExecutor(max_workers=min(plan.jobs, len(args))) as pool:
             outcomes = list(pool.map(_replication_task, args, chunksize=4))
     else:

@@ -98,6 +98,10 @@ class Node(NamedTuple):
     node_type: int
 
 
+# One shared token per node type: a firing finds the bound one by identity.
+NODES = {t: Node(t) for t in (MASTER, CLIENT)}
+
+
 class WorkList(NamedTuple):
     """The master's work list: the tiles ``tiles[start:]``, head first."""
 
@@ -434,7 +438,7 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
             inputs=[("raytrTiles", Var("tile"))],
             outputs=[
                 OutputArc("computedTiles", lambda v, s: v["tile"]),
-                OutputArc("freeNodes", lambda v, s: Node(v["tile"].node_type)),
+                OutputArc("freeNodes", lambda v, s: NODES[v["tile"].node_type]),
             ],
         ),
 
@@ -450,7 +454,7 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
                 ),
                 OutputArc(
                     "invalidNodes",
-                    lambda v, s: Node(v["tile"].node_type),
+                    lambda v, s: NODES[v["tile"].node_type],
                     delay=lambda v, s: recovery_ms(params, s.rng),
                 ),
             ],
@@ -494,7 +498,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
     return _compiled_net(scene, params), {
         "newScene": [scene.draw_complexity(rng)],
         "nodesNo": [params.node_count],
-        "freeNodes": [Node(MASTER)] + [Node(CLIENT)] * (params.node_count - 1),
+        "freeNodes": [NODES[MASTER]] + [NODES[CLIENT]] * (params.node_count - 1),
         "preparedTiles": [(WorkList(), 0)],
     }
 
@@ -557,7 +561,7 @@ class SceneMonitor:
 
 
 def attach_scene_monitor(hooks: list) -> SceneMonitor:
-    """Create a scene monitor and register it in ``hooks``."""
+    """Create a scene monitor and register its bound ``__call__`` in ``hooks``."""
     monitor = SceneMonitor()
-    hooks.append(monitor)
+    hooks.append(monitor.__call__)
     return monitor

@@ -51,6 +51,20 @@ def build_delay_net(with_consumer: bool, delay: int = 10):
     return Net(places, transitions), {"tp1": [(1, 0)]}
 
 
+def refresh_memos(net, state):
+    """Rebuild the stale memos as a step does; ``(n, last)`` of them.
+
+    ``n`` is the number of enabled bindings and ``last`` the index of
+    the last transition with a non-empty memo (-1 when ``n`` is 0).
+    """
+    cache = state.cache
+    for t_idx, t in enumerate(net.transitions):
+        if cache[t_idx] is None:
+            cache[t_idx] = t.bindings(state.store, state.now)
+    lengths = [len(memo) for memo in cache]
+    return sum(lengths), max((i for i, k in enumerate(lengths) if k), default=-1)
+
+
 class TraceHook:
     """Records (event type name, transition or None, time) per step."""
 

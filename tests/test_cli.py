@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import functools
 import io
+import multiprocessing
 import os
 import re
 import subprocess
@@ -298,7 +301,9 @@ class TestEndToEnd:
     def test_failing_replications_are_named_and_exit_1(self, jobs, tmp_path,
                                                        capsys, monkeypatch):
         # The plan is valid, but every comm delay of the real scenario
-        # raises.  A fork-started pool's workers inherit the patch.
+        # raises.  Only workers forked from this process inherit the
+        # patch, so the pool forks them whatever the default start
+        # method (forkserver on Linux from Python 3.14, spawn on macOS).
         comm_delay_ms = raytrace.comm_delay_ms
 
         def failing_comm_delay_ms(params, rng):
@@ -307,6 +312,10 @@ class TestEndToEnd:
             return comm_delay_ms(params, rng)
 
         monkeypatch.setattr(raytrace, "comm_delay_ms", failing_comm_delay_ms)
+        forking_pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forking_pool)
         out = tmp_path / "r"
         code = main(["--scene", "4000x3000", "--complexity", "1000",
                      "--nodes", "2", "--scenario", "both",

@@ -30,7 +30,7 @@ from cpnsim.engine import (
 )
 from cpnsim.stochastic import RngStream
 
-from helpers import TraceHook, build_delay_net, build_guard_net
+from helpers import TraceHook, build_delay_net, build_guard_net, refresh_memos
 
 
 def state_of(net, marking, seed=1234, now=0):
@@ -56,7 +56,7 @@ def assert_failed_firing_changes_nothing(net, state, error, match=None):
     raising would show.  The binding is still enabled afterwards.
     """
     [(name, binding)] = enabled_bindings(net, state)
-    assert net.refresh(state.cache, state.store, state.now) == (
+    assert refresh_memos(net, state) == (
         1, net.transition_index[name])
     before = ([list(tokens) for tokens in state.store], state.step_count,
               list(state.cache))
@@ -203,6 +203,16 @@ class TestEnabledBindings:
         names = [n for n, _ in enabled_bindings(net, state)]
         assert names == ["tt1"]  # the @40 token is still pending at 0
 
+    def test_tokens_that_cannot_be_sorted_name_their_place(self):
+        # One token needs no sort, so a lone dict token still fires.
+        net = Net([Place("p", dict)], [TransitionSpec("t", [("p", Var("x"))], [])])
+        state = state_of(net, {"p": [{"a": 1}]})
+        assert step(net, state) == Fired("t", {"x": {"a": 1}}, 0)
+        state = state_of(net, {"p": [{}, {"a": 1}]})
+        with pytest.raises(ModelStructureError,
+                           match="place p cannot be sorted: values of colour dict"):
+            step(net, state)
+
 
 # ---------------------------------------------------------------------------
 # fire
@@ -316,10 +326,15 @@ class TestFire:
         assert state.tokens("src") == [(5, 7, 1)]  # the @3 token went first
 
     def test_negative_runtime_delay_rejected(self):
-        # So is one that is not an int: 0.5 would stamp 0.5, True 1.
+        # So is one that is not an int: 0.5 would stamp 0.5, True 1.  The
+        # type must be int itself, as for a colour.
+        class Ms(int):
+            pass
+
         for delay, message in ((-1, "negative delay -1"),
                                (0.5, "non-int delay 0.5"),
-                               (True, "non-int delay True")):
+                               (True, "non-int delay True"),
+                               (Ms(2), "non-int delay 2")):
             net = Net(
                 [Place("a", int, timed=True), Place("b", int, timed=True)],
                 [TransitionSpec("t", inputs=[("a", Var("x"))],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpnsim.engine import (
@@ -38,7 +39,7 @@ from cpnsim.engine import (
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream, uniform_int
 
-from helpers import TraceHook, build_delay_net, build_guard_net
+from helpers import TraceHook, build_delay_net, build_guard_net, refresh_memos
 
 TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
@@ -80,7 +81,7 @@ def reference_bindings(net, store, now):
 
 def check_state(net, state):
     """The memos agree with the marking."""
-    n, last = net.refresh(state.cache, state.store, state.now)
+    n, last = refresh_memos(net, state)
     memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
              for assign in memo]
     assert len(memos) == n
@@ -216,7 +217,7 @@ class TestStepReadsTheMemos:
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
         state = SimState(net, marking, PickStub(0, 6))
-        assert net.refresh(state.cache, state.store, state.now) == (6, 2)
+        assert refresh_memos(net, state) == (6, 2)
         assert [len(memo) for memo in state.cache] == [2, 0, 4]
         for k in range(6):
             state = SimState(net, marking, PickStub(k, 6))
@@ -229,7 +230,7 @@ class TestStepReadsTheMemos:
         net, _marking = self.gapped_net()
         marking = {"p1": [3, 7]}
         state = SimState(net, marking, NoPick())
-        assert net.refresh(state.cache, state.store, state.now) == (1, 1)
+        assert refresh_memos(net, state) == (1, 1)
         assert step(net, state) == Fired("b", {"x": 7}, 0)
         assert state.tokens("p1") == [(3, None, 1)]
 
@@ -364,6 +365,50 @@ def test_generated_nets_step_like_the_stateless_reference(case, seed):
             return
         else:
             assert event == TimeAdvanced(before, expected)
+
+
+# ---------------------------------------------------------------------------
+# The loop's two entry paths: one long run, or a step at a time
+# ---------------------------------------------------------------------------
+
+def assert_run_and_steps_agree(net, marking, seed, steps, now=0):
+    """``run`` for ``steps`` steps and as many calls of ``step`` agree.
+
+    Both start from equal states with one seed path; they must give the
+    same events and leave equal stores, clocks, step counts and
+    generator states.  Both stop early at a dead marking.
+    """
+    ran, stepped = TraceHook(), TraceHook()
+    long = SimState(net, marking, RngStream(seed), now=now)
+    run(net, long, lambda st, ev: len(ran.events) >= steps, [ran])
+    short = SimState(net, marking, RngStream(seed), now=now)
+    for _ in range(steps):
+        event = step(net, short)
+        stepped(short, event)
+        if type(event) is DeadMarking:
+            break
+    assert ran.events == stepped.events
+    assert long.store == short.store
+    assert (long.now, long.step_count) == (short.now, short.step_count)
+    assert (long.rng._gen.bit_generator.state
+            == short.rng._gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("scenario", [IDEAL, REAL])
+@pytest.mark.parametrize("nodes", [2, 25])
+def test_raytrace_runs_and_steps_agree(scenario, nodes):
+    p = ScenarioParams(node_count=nodes, scenario=scenario,
+                       recovery_max_ms=10_000)
+    for seed in range(2):
+        net, marking = build_net(TINY, p, RngStream(seed))
+        assert_run_and_steps_agree(net, marking, seed, steps=500)
+
+
+@given(case=small_timed_nets(), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_generated_nets_run_and_step_alike(case, seed):
+    net, marking, now = case
+    assert_run_and_steps_agree(net, marking, seed, steps=30, now=now)
 
 
 # ---------------------------------------------------------------------------
