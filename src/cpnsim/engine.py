@@ -638,8 +638,10 @@ def compile_transition(net, spec, in_arcs, out_arcs):
         pending = f" or tokens{i}[0][1] > now" if places[p].timed else ""
         src += [f"    tokens{i} = store[{p}]",
                 f"    if not tokens{i}{pending}: return []"]
-    src += [f"    all{i} = tuple(sorted(map(_value, store[{p}])))"
-            for i, (p, _name) in enumerate(all_arcs)]
+    for i, (p, _name) in enumerate(all_arcs):
+        src += [f"    try: all{i} = tuple(sorted(map(_value, store[{p}])))",
+                "    except TypeError as exc: "
+                f"raise _unorderable(PLACES[{p}]) from exc"]
     for i, (p, _name) in enumerate(var_arcs):
         one, ready = f"len(tokens{i}) == 1", f"tokens{i}"
         if places[p].timed:

@@ -208,10 +208,12 @@ class TestEnabledBindings:
         net = Net([Place("p", dict)], [TransitionSpec("t", [("p", Var("x"))], [])])
         state = state_of(net, {"p": [{"a": 1}]})
         assert step(net, state) == Fired("t", {"x": {"a": 1}}, 0)
-        state = state_of(net, {"p": [{}, {"a": 1}]})
-        with pytest.raises(ModelStructureError,
-                           match="place p cannot be sorted: values of colour dict"):
-            step(net, state)
+        for pattern in (Var("x"), All("x", 2)):
+            net = Net([Place("p", dict)], [TransitionSpec("t", [("p", pattern)], [])])
+            state = state_of(net, {"p": [{}, {"a": 1}]})
+            with pytest.raises(ModelStructureError,
+                               match="place p cannot be sorted: values of colour dict"):
+                step(net, state)
 
 
 # ---------------------------------------------------------------------------
