@@ -1,14 +1,13 @@
 """Alternating fresh-process pairs of perfbench sweeps: a revision against the checkout.
 
-    python3 bench/ab.py --base REV [--workload NAME ...] [--pairs N]
-                        [--seed S] [--label LABEL]
+    python3 bench/ab.py --base REV [--pairs N] [--label LABEL]
 
 Each pair runs ``perfbench/sweep.py --mode plain`` twice, as a script in
 a fresh interpreter: once in a ``git archive REV`` copy of the
 repository (side ``base``) and once in this checkout (side
-``checkout``), each with its own ``src/``.  Both get the workload's
-cpnsim argv with the same ``--seed``; the order of the two is drawn at
-random per pair from that seed.  Every child is pinned to one CPU, the
+``checkout``), each with its own ``src/``, for each of perfbench's
+three workloads.  Both get the workload's cpnsim argv with ``--seed 1``;
+the order of the two is drawn at random per pair from the same seed.  Every child is pinned to one CPU, the
 same for all, with ``os.sched_setaffinity``, and runs with
 ``PYTHONHASHSEED=0`` and ``PYTHONDONTWRITEBYTECODE=1``, so that neither
 side reads byte code the other lacks.  The two sweeps of a pair must
@@ -26,12 +25,14 @@ by more than the distance between the base side's quartiles.
 
 The script imports nothing from ``perfbench/`` and writes nothing
 there; the sweeps write their output files to a temporary directory.
-The workloads' argv are copied from ``perfbench/README.md``.
+The workloads' argv are read from the text of the ``WORKLOADS`` table
+in the checkout's ``perfbench/run.py``, so both measure the same runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -50,13 +51,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-WORKLOADS = {
-    "sweep_reduced": ["--nodes", "1,2,8,25", "--replications", "3"],
-    "large_scene": ["--scene", "60000x45000", "--scenario", "ideal",
-                    "--nodes", "2", "--replications", "3"],
-    "many_small_runs": ["--scene", "10000x7500", "--scenario", "real",
-                        "--nodes", "25", "--replications", "600"],
-}
+SEED = 1
 
 # Metric name and whether higher is better.
 METRICS = {"wall_s": False, "steps_per_s": True, "peak_rss_mb": False}
@@ -67,6 +62,16 @@ SIDES = ("base", "checkout")
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def workloads() -> dict[str, list[str]]:
+    """The ``WORKLOADS`` literal of ``perfbench/run.py``, read as text."""
+    module = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in module.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"]):
+            return ast.literal_eval(node.value)
+    raise SystemExit("ab: perfbench/run.py has no WORKLOADS table")
 
 
 def export(rev: str, into: Path) -> None:
@@ -127,17 +132,12 @@ def compare(pairs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="repeatable; default: all three")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="cpnsim --seed of every sweep, and the order draws")
     parser.add_argument("--label", default="ab", help="writes BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.pairs < 4:
         parser.error("--pairs must be 4 or more, for quartiles")
-    workloads = args.workload or list(WORKLOADS)
-    order = random.Random(args.seed)
+    order = random.Random(SEED)
     cpu = min(os.sched_getaffinity(0))
 
     work = Path(tempfile.mkdtemp(prefix="cpnsim-ab-"))
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "cores": os.cpu_count(),
             "pinned_cpu": cpu,
-            "seed": args.seed,
+            "seed": SEED,
             "base": {"rev": args.base, "commit": git("rev-parse", args.base),
                      "src_sha256": src_digest(trees["base"])},
             "checkout": {"commit": git("rev-parse", "HEAD"),
@@ -159,8 +159,8 @@ def main(argv=None) -> int:
                          "src_sha256": src_digest(ROOT)},
             "workloads": {},
         }
-        for name in workloads:
-            argv_w = [*WORKLOADS[name], "--seed", str(args.seed)]
+        for name, argv_w in workloads().items():
+            argv_w = [*argv_w, "--seed", str(SEED)]
             pairs = []
             for i in range(args.pairs):
                 first = order.choice(SIDES)
