@@ -25,8 +25,7 @@ tokens it produces (appended, or inserted at their timestamp) and
 deletes the ones it consumes; a place's token count is the length of
 its list.  No token value is ever hashed: candidates are found by
 sorting a place's ready values and grouping equal neighbours, and
-consumed tokens by identity with the place's first token, else by
-comparing values.  One ready token, such as the raytracing model's work
+consumed tokens by comparing values.  One ready token, such as the raytracing model's work
 list, needs no sort.  Public accessors group equal tokens into
 ``(value, timestamp, count)`` triples and report ``None`` timestamps
 for untimed places.
@@ -549,8 +548,6 @@ def _remove_value(tokens, value, now):
     first pending token.  The bound value is the very object enumeration
     read from this place, so identity is tested first: it spares a
     field-by-field comparison of tuple values such as nodes and tiles.
-    A generated ``fire`` calls this only when the place's first token is
-    not that object.
     """
     for i, (v, ts) in enumerate(tokens):
         if ts > now:
@@ -688,12 +685,8 @@ def compile_transition(net, spec, in_arcs, out_arcs):
         elif arc.delay == 0:
             cleared.update(watchers[p])
     src.append("    store = state.store")
-    # The bound value is the object enumeration read, and a place's
-    # first token is its oldest, so identity with it settles most cases.
-    for i, (p, name) in enumerate(var_arcs):
-        src += [f"    bound{i} = assign[{name!r}]",
-                f"    if store[{p}][0][0] is bound{i}: del store[{p}][0]",
-                f"    else: _remove_value(store[{p}], bound{i}, now)"]
+    src += [f"    _remove_value(store[{p}], assign[{name!r}], now)"
+            for p, name in var_arcs]
     for i, (p, _name) in enumerate(all_arcs):
         src += [f"    assert len(store[{p}]) == require{i}, "
                 "'population changed since enumeration'",

@@ -98,10 +98,6 @@ class Node(NamedTuple):
     node_type: int
 
 
-# One shared token per node type: a firing finds the bound one by identity.
-NODES = {t: Node(t) for t in (MASTER, CLIENT)}
-
-
 class WorkList(NamedTuple):
     """The master's work list: the tiles ``tiles[start:]``, head first."""
 
@@ -438,7 +434,7 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
             inputs=[("raytrTiles", Var("tile"))],
             outputs=[
                 OutputArc("computedTiles", lambda v, s: v["tile"]),
-                OutputArc("freeNodes", lambda v, s: NODES[v["tile"].node_type]),
+                OutputArc("freeNodes", lambda v, s: Node(v["tile"].node_type)),
             ],
         ),
 
@@ -454,7 +450,7 @@ def _compiled_net(scene: SceneConfig, params: ScenarioParams) -> Net:
                 ),
                 OutputArc(
                     "invalidNodes",
-                    lambda v, s: NODES[v["tile"].node_type],
+                    lambda v, s: Node(v["tile"].node_type),
                     delay=lambda v, s: recovery_ms(params, s.rng),
                 ),
             ],
@@ -498,7 +494,7 @@ def build_net(scene: SceneConfig, params: ScenarioParams,
     return _compiled_net(scene, params), {
         "newScene": [scene.draw_complexity(rng)],
         "nodesNo": [params.node_count],
-        "freeNodes": [NODES[MASTER]] + [NODES[CLIENT]] * (params.node_count - 1),
+        "freeNodes": [Node(MASTER)] + [Node(CLIENT)] * (params.node_count - 1),
         "preparedTiles": [(WorkList(), 0)],
     }
 
@@ -561,7 +557,7 @@ class SceneMonitor:
 
 
 def attach_scene_monitor(hooks: list) -> SceneMonitor:
-    """Create a scene monitor and register its bound ``__call__`` in ``hooks``."""
+    """Create a scene monitor and register it in ``hooks``."""
     monitor = SceneMonitor()
-    hooks.append(monitor.__call__)
+    hooks.append(monitor)
     return monitor
