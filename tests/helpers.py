@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+
 from cpnsim.engine import (
     Fired,
     Net,
     OutputArc,
     Place,
+    SimState,
     TransitionSpec,
     Var,
+    step,
 )
 
 
@@ -63,6 +67,48 @@ def refresh_memos(net, state):
             cache[t_idx] = t.bindings(state.store, state.now)
     lengths = [len(memo) for memo in cache]
     return sum(lengths), max((i for i, k in enumerate(lengths) if k), default=-1)
+
+
+class _Picked(Exception):
+    """Stops a step of :func:`loop_pass` at its draw."""
+
+
+class PickProbe:
+    """A copy of a stream whose ``pick(n)`` records ``n`` and stops the step."""
+
+    def __init__(self, rng):
+        self.rng = copy.deepcopy(rng)
+        self.n = None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def pick(self, n):
+        self.n = n
+        raise _Picked
+
+
+def loop_pass(net, state):
+    """``(n, last)`` as one step of the net's generated loop finds them.
+
+    The step runs on a copy of ``state`` that keeps its memos, stale
+    ones included, so the loop rebuilds the ones a step of ``state``
+    would; ``state`` is left as it was.  With two or more bindings
+    enabled the copy's stream records ``n`` and stops the step before it
+    fires; with one the step fires it, and its event names ``last``;
+    with none it advances time or finds the marking dead.
+    """
+    probe = SimState(net, {}, PickProbe(state.rng), now=state.now)
+    probe.store = [list(tokens) for tokens in state.store]
+    probe.cache = list(state.cache)
+    try:
+        event = step(net, probe)
+    except _Picked:
+        return probe.rng.n, max(
+            i for i, memo in enumerate(probe.cache) if memo)
+    if type(event) is Fired:
+        return 1, net.transition_index[event.transition]
+    return 0, -1
 
 
 class TraceHook:

@@ -39,7 +39,13 @@ from cpnsim.engine import (
 from cpnsim.raytrace import IDEAL, REAL, ScenarioParams, SceneConfig, build_net
 from cpnsim.stochastic import RngStream, uniform_int
 
-from helpers import TraceHook, build_delay_net, build_guard_net, refresh_memos
+from helpers import (
+    TraceHook,
+    build_delay_net,
+    build_guard_net,
+    loop_pass,
+    refresh_memos,
+)
 
 TINY = SceneConfig(4_000, 3_000, 1_000, 750, 1_000)
 
@@ -80,8 +86,10 @@ def reference_bindings(net, store, now):
 
 
 def check_state(net, state):
-    """The memos agree with the marking."""
+    """The memos agree with the marking, and a step's memo pass with them."""
+    stepped = loop_pass(net, state)
     n, last = refresh_memos(net, state)
+    assert stepped == (n, last)
     memos = [(t_idx, assign) for t_idx, memo in enumerate(state.cache)
              for assign in memo]
     assert len(memos) == n
@@ -217,7 +225,7 @@ class TestStepReadsTheMemos:
     def test_the_kth_pick_fires_the_kth_binding(self):
         net, marking = self.gapped_net()
         state = SimState(net, marking, PickStub(0, 6))
-        assert refresh_memos(net, state) == (6, 2)
+        assert loop_pass(net, state) == refresh_memos(net, state) == (6, 2)
         assert [len(memo) for memo in state.cache] == [2, 0, 4]
         for k in range(6):
             state = SimState(net, marking, PickStub(k, 6))
@@ -230,7 +238,7 @@ class TestStepReadsTheMemos:
         net, _marking = self.gapped_net()
         marking = {"p1": [3, 7]}
         state = SimState(net, marking, NoPick())
-        assert refresh_memos(net, state) == (1, 1)
+        assert loop_pass(net, state) == refresh_memos(net, state) == (1, 1)
         assert step(net, state) == Fired("b", {"x": 7}, 0)
         assert state.tokens("p1") == [(3, None, 1)]
 
